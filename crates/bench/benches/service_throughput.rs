@@ -9,7 +9,8 @@
 //!   canonicalize, build the engine, run the analysis. No memoization.
 //! * `batch_service` — a fresh 8-shard [`Service`] per iteration (thread
 //!   spawn and teardown are *inside* the timed region), answering the same
-//!   batch through bounded queues and shard-local memo tables.
+//!   batch through per-shard memo tables (hits answered on the
+//!   submitting thread) and bounded queues (misses).
 //!
 //! Before timing, the harness asserts the service's answers are
 //! **bit-identical** (serialized JSON) to the serial fresh analyses for all

@@ -35,10 +35,7 @@ impl CanonicalSet {
         let tasks = ts.tasks();
         let mut order: Vec<usize> = (0..tasks.len()).collect();
         order.sort_by_key(|&i| (tasks[i].period.ticks(), tasks[i].wcet.ticks(), i));
-        let scale = tasks
-            .iter()
-            .fold(0, |g, t| gcd(gcd(g, t.wcet.ticks()), t.period.ticks()))
-            .max(1);
+        let scale = collective_gcd(tasks.iter().map(|t| (t.wcet.ticks(), t.period.ticks())));
         let pairs: Vec<(u64, u64)> = order
             .iter()
             .map(|&i| {
@@ -63,7 +60,7 @@ impl CanonicalSet {
     pub fn of_pairs(raw: &[(u64, u64)]) -> Self {
         let mut order: Vec<usize> = (0..raw.len()).collect();
         order.sort_by_key(|&i| (raw[i].1, raw[i].0, i));
-        let scale = raw.iter().fold(0, |g, &(c, t)| gcd(gcd(g, c), t)).max(1);
+        let scale = collective_gcd(raw.iter().copied());
         let pairs: Vec<(u64, u64)> = order
             .iter()
             .map(|&i| (raw[i].0 / scale, raw[i].1 / scale))
@@ -161,7 +158,7 @@ impl CanonicalBatch {
         self.scratch.clear();
         self.scratch.extend(0..raw.len());
         self.scratch.sort_by_key(|&i| (raw[i].1, raw[i].0, i));
-        let scale = raw.iter().fold(0, |g, &(c, t)| gcd(gcd(g, c), t)).max(1);
+        let scale = collective_gcd(raw.iter().copied());
         let start = self.pairs.len();
         self.pairs.extend(
             self.scratch
@@ -204,6 +201,19 @@ impl CanonicalBatch {
     pub fn to_taskset(&self, idx: usize) -> Result<TaskSet, ModelError> {
         TaskSet::from_pairs(self.pairs(idx))
     }
+}
+
+/// The collective gcd of every wcet and period (1 for an empty set). The
+/// fold stops once it reaches 1, since `gcd(1, x) = 1`.
+fn collective_gcd(pairs: impl IntoIterator<Item = (u64, u64)>) -> u64 {
+    let mut g = 0;
+    for (c, t) in pairs {
+        g = gcd(gcd(g, c), t);
+        if g == 1 {
+            break;
+        }
+    }
+    g.max(1)
 }
 
 /// FNV-1a over the little-endian bytes of each pair. Crate-visible so

@@ -17,19 +17,28 @@
 //!    form answers the original schedulability question — and syntactically
 //!    different duplicates of the same set become byte-identical.
 //! 2. **Route**: the canonical form's FNV-1a hash picks the shard, so every
-//!    duplicate of a task set lands on the shard that already holds its
-//!    memoized result. Submission applies **backpressure**: each shard's
-//!    queue is bounded, and `submit` blocks (never drops, never buffers
-//!    unboundedly) while the shard is saturated.
-//! 3. **Analyze**: the shard looks up `(canonical pairs, m, engine
-//!    fingerprint)` in its memo table. On a miss it runs the engine —
-//!    panic-isolated, so a poisoned request yields an
-//!    [`Verdict::Invalid`] response instead of killing the shard — and
-//!    memoizes the outcome. On a hit it returns the stored outcome, which
-//!    is **bit-identical** to what a fresh analysis would produce whenever
+//!    duplicate of a task set lands on the shard whose memo table holds
+//!    its result.
+//! 3. **Look up**: the submitting thread looks up `(canonical pairs, m,
+//!    engine fingerprint)` in that shard's memo table. The table is
+//!    shared read-mostly: its shard is the only writer, submitters only
+//!    read. On a hit the submitter answers at once with the stored
+//!    outcome — no queue, no shard thread. The stored outcome is
+//!    **bit-identical** to what a fresh analysis would produce whenever
 //!    the request's budget is deterministic (iteration/probe caps; a
 //!    wall-clock deadline is inherently racy, so a memo hit then simply
 //!    replays the first run's sound verdict).
+//! 4. **Analyze**: a miss is queued to the shard. Submission applies
+//!    **backpressure**: each shard's queue is bounded, and `submit`
+//!    blocks (never drops, never buffers unboundedly) while the shard is
+//!    saturated. The shard looks the key up again — a duplicate queued
+//!    behind the job that creates its entry is still a hit — and
+//!    otherwise runs the engine, panic-isolated, so a poisoned request
+//!    yields an [`Verdict::Invalid`] response instead of killing the
+//!    shard, and memoizes the outcome. Since only the shard inserts and
+//!    it re-checks first, every distinct question is analysed once, and
+//!    hit/miss labels depend on the request stream, not on thread
+//!    timing.
 //!
 //! Because both the memo-hit and the fresh path analyze the *canonical*
 //! form, memo-hit ≡ fresh reduces to determinism of the engines, which the

@@ -8,7 +8,7 @@ use crate::durability::{
 use crate::journal::{JournalOp, JournalWriter};
 use crate::queue::BoundedQueue;
 use crate::request::{AnalyzeRequest, RepartitionRequest, Request, Response, Verdict};
-use crate::shard::{AnalyzeJob, CanonJob, Job, SessionJob, SessionState, Shard};
+use crate::shard::{engine_key, AnalyzeJob, CanonJob, Job, Memo, SessionJob, SessionState, Shard};
 use crate::snapshot::{self, MemoEntry, RestoreReport, SnapshotReport};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -120,6 +120,9 @@ impl Ticket {
 /// The sharded, batched analysis service (crate docs for the model).
 pub struct Service {
     queues: Vec<Arc<BoundedQueue<Job>>>,
+    /// Each shard's memo table: written only by its shard, read here by
+    /// every submission (the memo-hit path).
+    memos: Vec<Arc<Memo>>,
     /// Behind a mutex so [`Service::shutdown`] can join from `&self`
     /// (network front ends hold the service in an `Arc`).
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -316,12 +319,13 @@ impl Service {
         let shards = cfg.shards.max(1);
         // Route each restored entry exactly like a live request: by the
         // FNV-1a hash of its canonical pairs. A future request for the
-        // same set lands on the shard that now holds its memo entry.
-        let mut seeds: Vec<Vec<MemoEntry>> = (0..shards).map(|_| Vec::new()).collect();
+        // same set looks it up in the table that now holds it.
+        let mut memos: Vec<Memo> = (0..shards).map(|_| Memo::default()).collect();
         for entry in entries {
             let shard = (canonical_hash(&entry.pairs) % shards as u64) as usize;
-            seeds[shard].push(entry);
+            memos[shard].seed(entry);
         }
+        let memos: Vec<Arc<Memo>> = memos.into_iter().map(Arc::new).collect();
         let stats = Arc::new(SharedStats {
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -335,20 +339,22 @@ impl Service {
             .collect();
         let workers = queues
             .iter()
-            .zip(seeds)
+            .zip(&memos)
             .enumerate()
-            .map(|(idx, (q, seed))| {
+            .map(|(idx, (q, memo))| {
                 let q = Arc::clone(q);
+                let memo = Arc::clone(memo);
                 let stats = Arc::clone(&stats);
                 let dur = durability.clone();
                 std::thread::Builder::new()
                     .name(format!("rmts-svc-shard-{idx}"))
-                    .spawn(move || Shard::run(idx, q, stats, seed, dur))
+                    .spawn(move || Shard::run(idx, q, stats, memo, dur))
                     .expect("spawn shard worker")
             })
             .collect();
         Service {
             queues,
+            memos,
             workers: Mutex::new(workers),
             stats,
             seq: AtomicUsize::new(0),
@@ -362,10 +368,10 @@ impl Service {
         self.queues.len()
     }
 
-    /// Submits one request; blocks only if the target shard's queue is
-    /// full (backpressure). The returned [`Ticket`] resolves to the
-    /// response; its `index` is the service-wide submission sequence
-    /// number.
+    /// Submits one request. A memo hit is answered before this returns;
+    /// a miss blocks only if the target shard's queue is full
+    /// (backpressure). The returned [`Ticket`] resolves to the response;
+    /// its `index` is the service-wide submission sequence number.
     pub fn submit(&self, req: AnalyzeRequest) -> Ticket {
         let index = self.seq.fetch_add(1, Ordering::Relaxed);
         self.submit_indexed(index, req)
@@ -495,14 +501,22 @@ impl Service {
         // entry (or queues behind the job that will create it).
         let shard = (canon.hash() % self.queues.len() as u64) as usize;
         self.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        self.queues[shard]
-            .push(Job::Analyze(AnalyzeJob {
-                index,
-                canon,
-                req,
-                reply,
-            }))
-            .expect("submission after Service::shutdown (queues are closed)");
+        let job = AnalyzeJob {
+            index,
+            engine: engine_key(&req, canon.pairs().len()),
+            canon,
+            req,
+            reply,
+        };
+        // A hit is answered here, on the submitting thread: no queue, no
+        // shard wake-up. A miss goes to the shard, which re-checks before
+        // analysing.
+        match self.memos[shard].get(&job) {
+            Some(outcome) => job.answer(shard, outcome, true, &self.stats),
+            None => self.queues[shard]
+                .push(Job::Analyze(job))
+                .expect("submission after Service::shutdown (queues are closed)"),
+        }
     }
 
     fn enqueue_session(
@@ -588,8 +602,9 @@ impl Service {
     /// is enqueued behind every previously accepted request on each
     /// shard's FIFO, so by the time it answers, every accepted request
     /// has been served (its response delivered, its outcome memoized).
-    /// Submissions racing past shutdown are refused by the closed queues,
-    /// never half-served. Idempotent — a second call is a no-op.
+    /// Misses racing past shutdown are refused by the closed queues, never
+    /// half-served; a memo hit needs no shard and is answered in full.
+    /// Idempotent — a second call is a no-op.
     ///
     /// On a durable service the scheduler is stopped first and a final
     /// generation is written under the snapshot-generation lock, so a

@@ -1,15 +1,24 @@
 //! A worker shard: long-lived engines, a memo table, and panic isolation.
 //!
-//! Each shard is one OS thread owning two maps:
+//! Each shard is one OS thread that owns an **engine arena** — one built
+//! [`DynPartitioner`] per distinct engine fingerprint (algorithm, options
+//! and task-set size for the size-dependent SPA thresholds), so a million
+//! requests against the same configuration construct the engine once —
+//! and is the only writer of a **memo table** ([`Memo`]):
+//! `(canonical pairs, m, engine fingerprint) → Arc<AnalysisOutcome>`. The
+//! key stores the *full* canonical pair list, not a hash, so collisions
+//! are impossible; the routing hash only decides which shard a request
+//! lands on.
 //!
-//! * an **engine arena** — one built [`DynPartitioner`] per distinct
-//!   engine fingerprint (algorithm + options + task-set size for the
-//!   size-dependent SPA thresholds), so a million requests against the
-//!   same configuration construct the engine once; and
-//! * a **memo table** — `(canonical pairs, m, engine fingerprint) →
-//!   Arc<AnalysisOutcome>`. The key stores the *full* canonical pair list,
-//!   not a hash, so collisions are impossible; the routing hash only
-//!   decides which shard a request lands on.
+//! The memo is shared read-mostly (an `RwLock` behind an `Arc`). The
+//! submitting thread looks a v1 request up itself and answers a hit on the
+//! spot, so a hit never touches the queue or the shard thread. Only misses
+//! travel to the shard, which looks the key up **again** before analysing:
+//! a duplicate queued behind the job that creates its entry is still a
+//! hit. Because only the shard inserts, and it re-checks before every
+//! analysis, each distinct key is analysed exactly once, and for one
+//! submitter its first occurrence is the miss — hit/miss labels and
+//! counters are a function of the request stream, not of thread timing.
 //!
 //! A request that panics inside the engine (e.g. `m = 0` trips the
 //! engines' `assert!(m > 0)`) is contained by per-request `catch_unwind`
@@ -35,7 +44,7 @@ use rmts_taskmodel::{ModelError, TaskSet};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, RwLock};
 use std::time::Instant;
 
 /// A job's canonical form: either its own [`CanonicalSet`] (single
@@ -81,7 +90,8 @@ impl CanonJob {
 
 /// One unit of work.
 pub(crate) enum Job {
-    /// A stateless v1 analysis (routed by canonical hash).
+    /// A stateless v1 analysis that missed the memo on submission
+    /// (routed by canonical hash).
     Analyze(AnalyzeJob),
     /// A v2 session operation (routed by session-name hash, so all ops of
     /// a session serialize through one shard's FIFO).
@@ -135,7 +145,41 @@ pub(crate) struct AnalyzeJob {
     pub index: usize,
     pub canon: CanonJob,
     pub req: AnalyzeRequest,
+    /// The engine fingerprint ([`engine_key`]), formatted once at
+    /// submission where the memo lookup first needs it.
+    pub engine: String,
     pub reply: mpsc::Sender<Response>,
+}
+
+impl AnalyzeJob {
+    /// Counts and delivers this job's answer. The shard answers misses
+    /// (and hits found on its re-check); [`crate::Service`] answers hits
+    /// found on the submitting thread.
+    pub(crate) fn answer(
+        self,
+        shard: usize,
+        outcome: Arc<AnalysisOutcome>,
+        memo_hit: bool,
+        stats: &SharedStats,
+    ) {
+        let counter = if memo_hit {
+            &stats.memo_hits
+        } else {
+            &stats.memo_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        stats.completed.fetch_add(1, Ordering::Relaxed);
+        // A dropped receiver (caller gave up on the ticket) is not an
+        // error for the answering side.
+        let _ = self.reply.send(Response {
+            index: self.index,
+            canonical_hash: self.canon.hash(),
+            shard,
+            memo_hit,
+            session: None,
+            outcome,
+        });
+    }
 }
 
 /// A session operation plus its reply channel.
@@ -152,6 +196,18 @@ pub(crate) struct SessionJob {
     pub record: bool,
 }
 
+/// The engine fingerprint of `req` against a canonical set of `n` tasks.
+/// `Debug` of the request's option fields is deterministic (unit enums,
+/// integers), making the fingerprint stable across runs — restored memo
+/// entries carry it. The task-set size is folded in because the SPA
+/// thresholds Θ(n) make engines size-dependent.
+pub(crate) fn engine_key(req: &AnalyzeRequest, n: usize) -> String {
+    format!(
+        "{:?}|{:?}|{:?}|{}|{}",
+        req.algorithm, req.policy, req.budget, req.degrade, n
+    )
+}
+
 /// Exact-equality memo key (see the module docs).
 #[derive(PartialEq, Eq)]
 struct MemoKey {
@@ -160,30 +216,102 @@ struct MemoKey {
     engine: String,
 }
 
-/// The engine-fingerprint inputs of the last job, plus the rendered
-/// string. Batches are typically homogeneous in their options, so this
-/// one-entry cache makes the per-job fingerprint a handful of `Copy`
-/// comparisons instead of a `format!`.
-struct FingerprintCache {
-    algorithm: rmts_core::AlgorithmSpec,
-    policy: Option<rmts_core::AdmissionPolicy>,
-    budget: crate::request::BudgetSpec,
-    degrade: bool,
-    n: usize,
-    text: String,
+type MemoBucket = Vec<(MemoKey, Arc<AnalysisOutcome>)>;
+
+/// One shard's memo table. Shared as `Arc<Memo>`: its shard is the only
+/// writer, every submitting thread reads it (see the module docs). Each
+/// method holds the lock only for its own duration, so no caller can
+/// carry a guard into a blocking queue push.
+///
+/// Buckets are keyed by `(canonical routing hash, m)`; each bucket is
+/// scanned with full exact-equality [`MemoKey`] comparison, so hash
+/// collisions cost a compare, never a wrong answer. The bucket layout
+/// keeps the lookup allocation-free (no owned key to build).
+#[derive(Default)]
+pub(crate) struct Memo {
+    buckets: RwLock<HashMap<(u64, usize), MemoBucket>>,
 }
 
-type MemoBucket = Vec<(MemoKey, Arc<AnalysisOutcome>)>;
+impl Memo {
+    /// The memoized outcome for `job`'s exact key, if any.
+    pub(crate) fn get(&self, job: &AnalyzeJob) -> Option<Arc<AnalysisOutcome>> {
+        self.buckets
+            .read()
+            .expect("memo lock poisoned")
+            .get(&(job.canon.hash(), job.req.m))?
+            .iter()
+            .find(|(k, _)| k.engine == job.engine && k.pairs == job.canon.pairs())
+            .map(|(_, outcome)| Arc::clone(outcome))
+    }
+
+    /// Memoizes a freshly analysed `job` (which the caller has just
+    /// looked up and missed).
+    fn insert(&self, job: &AnalyzeJob, outcome: Arc<AnalysisOutcome>) {
+        let key = MemoKey {
+            pairs: job.canon.pairs().to_vec(),
+            m: job.req.m,
+            engine: job.engine.clone(),
+        };
+        self.buckets
+            .write()
+            .expect("memo lock poisoned")
+            .entry((job.canon.hash(), job.req.m))
+            .or_default()
+            .push((key, outcome));
+    }
+
+    /// Adds a restored snapshot entry. Duplicate keys keep the first
+    /// entry (snapshots never contain two outcomes for one key, but a
+    /// hostile file must not corrupt the table).
+    pub(crate) fn seed(&mut self, entry: MemoEntry) {
+        let bucket = self
+            .buckets
+            .get_mut()
+            .expect("memo lock poisoned")
+            .entry((fnv1a(&entry.pairs), entry.m))
+            .or_default();
+        if bucket
+            .iter()
+            .any(|(k, _)| k.engine == entry.engine && k.pairs == entry.pairs)
+        {
+            return;
+        }
+        bucket.push((
+            MemoKey {
+                pairs: entry.pairs,
+                m: entry.m,
+                engine: entry.engine,
+            },
+            Arc::new(entry.outcome),
+        ));
+    }
+
+    /// Every entry, sorted (checkpoint and drain-barrier order).
+    fn export(&self) -> Vec<MemoEntry> {
+        let mut memo: Vec<MemoEntry> = self
+            .buckets
+            .read()
+            .expect("memo lock poisoned")
+            .values()
+            .flatten()
+            .map(|(k, outcome)| MemoEntry {
+                pairs: k.pairs.clone(),
+                m: k.m,
+                engine: k.engine.clone(),
+                outcome: (**outcome).clone(),
+            })
+            .collect();
+        // Deterministic file order regardless of HashMap iteration.
+        memo.sort_by(|a, b| (&a.pairs, a.m, &a.engine).cmp(&(&b.pairs, b.m, &b.engine)));
+        memo
+    }
+}
 
 pub(crate) struct Shard {
     idx: usize,
     engines: HashMap<String, DynPartitioner>,
-    /// Memo buckets keyed by `(canonical routing hash, m)`; each bucket is
-    /// scanned with full exact-equality [`MemoKey`] comparison, so hash
-    /// collisions cost a compare, never a wrong answer. The bucket layout
-    /// keeps the hit path allocation-free (no owned key to build).
-    memo: HashMap<(u64, usize), MemoBucket>,
-    last_fp: Option<FingerprintCache>,
+    /// This shard's memo table; the shard is its only writer.
+    memo: Arc<Memo>,
     /// Recycled partitioning buffers (processor pool + plan queue), reused
     /// across every fresh analysis this shard runs. Steady-state misses
     /// against same-sized sets admit without heap allocation in the
@@ -210,20 +338,18 @@ impl Shard {
         idx: usize,
         queue: Arc<BoundedQueue<Job>>,
         stats: Arc<SharedStats>,
-        seed: Vec<MemoEntry>,
+        memo: Arc<Memo>,
         dur: Option<Arc<DurabilityState>>,
     ) {
         let mut shard = Shard {
             idx,
             engines: HashMap::new(),
-            memo: HashMap::new(),
-            last_fp: None,
+            memo,
             ws: PartitionWorkspace::new(),
             sessions: HashMap::new(),
             stats,
             dur,
         };
-        shard.seed_memo(seed);
         // Drain the queue in runs: one condvar round-trip (and, on a busy
         // machine, one context switch) buys up to `capacity` jobs.
         let run_len = queue.capacity();
@@ -249,46 +375,10 @@ impl Shard {
         }
     }
 
-    /// Pre-populates the memo from restored snapshot entries. Duplicate
-    /// keys keep the first entry (snapshots never contain two outcomes
-    /// for one key, but a hostile file must not corrupt the table).
-    fn seed_memo(&mut self, seed: Vec<MemoEntry>) {
-        for entry in seed {
-            let bucket_key = (fnv1a(&entry.pairs), entry.m);
-            let bucket = self.memo.entry(bucket_key).or_default();
-            if bucket
-                .iter()
-                .any(|(k, _)| k.engine == entry.engine && k.pairs == entry.pairs)
-            {
-                continue;
-            }
-            bucket.push((
-                MemoKey {
-                    pairs: entry.pairs,
-                    m: entry.m,
-                    engine: entry.engine,
-                },
-                Arc::new(entry.outcome),
-            ));
-        }
-    }
-
     /// Serializes the memo table and session fleet for a checkpoint (or a
     /// drain barrier).
     fn export_state(&self) -> ShardExport {
-        let mut memo: Vec<MemoEntry> = self
-            .memo
-            .values()
-            .flatten()
-            .map(|(k, outcome)| MemoEntry {
-                pairs: k.pairs.clone(),
-                m: k.m,
-                engine: k.engine.clone(),
-                outcome: (**outcome).clone(),
-            })
-            .collect();
-        // Deterministic file order regardless of HashMap iteration.
-        memo.sort_by(|a, b| (&a.pairs, a.m, &a.engine).cmp(&(&b.pairs, b.m, &b.engine)));
+        let memo = self.memo.export();
         let mut sessions: Vec<SessionState> = self
             .sessions
             .iter()
@@ -305,23 +395,7 @@ impl Shard {
 
     fn serve(&mut self, job: AnalyzeJob) {
         let (outcome, memo_hit) = self.outcome_for(&job);
-        let counter = if memo_hit {
-            &self.stats.memo_hits
-        } else {
-            &self.stats.memo_misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        self.stats.completed.fetch_add(1, Ordering::Relaxed);
-        // A dropped receiver (caller gave up on the ticket) is not an
-        // error for the shard.
-        let _ = job.reply.send(Response {
-            index: job.index,
-            canonical_hash: job.canon.hash(),
-            shard: self.idx,
-            memo_hit,
-            session: None,
-            outcome,
-        });
+        job.answer(self.idx, outcome, memo_hit, &self.stats);
     }
 
     fn serve_session(&mut self, job: SessionJob) {
@@ -568,55 +642,13 @@ impl Shard {
     }
 
     fn outcome_for(&mut self, job: &AnalyzeJob) -> (Arc<AnalysisOutcome>, bool) {
-        // `Debug` of the request's option fields is deterministic (unit
-        // enums, integers), making the fingerprint stable across runs. The
-        // task-set size is folded in because the SPA thresholds Θ(n) make
-        // engines size-dependent.
-        let n = job.canon.pairs().len();
-        let reuse = self.last_fp.as_ref().is_some_and(|c| {
-            c.algorithm == job.req.algorithm
-                && c.policy == job.req.policy
-                && c.budget == job.req.budget
-                && c.degrade == job.req.degrade
-                && c.n == n
-        });
-        if !reuse {
-            self.last_fp = Some(FingerprintCache {
-                algorithm: job.req.algorithm,
-                policy: job.req.policy,
-                budget: job.req.budget,
-                degrade: job.req.degrade,
-                n,
-                text: format!(
-                    "{:?}|{:?}|{:?}|{}|{}",
-                    job.req.algorithm, job.req.policy, job.req.budget, job.req.degrade, n
-                ),
-            });
+        // The submitter missed, but the entry may have been inserted since:
+        // a duplicate queued behind the job that created it is still a hit.
+        if let Some(hit) = self.memo.get(job) {
+            return (hit, true);
         }
-        let fp = &self.last_fp.as_ref().expect("just filled").text;
-        let bucket_key = (job.canon.hash(), job.req.m);
-        if let Some(bucket) = self.memo.get(&bucket_key) {
-            if let Some((_, hit)) = bucket
-                .iter()
-                .find(|(k, _)| k.engine == *fp && k.pairs == job.canon.pairs())
-            {
-                return (Arc::clone(hit), true);
-            }
-        }
-        // One `String` clone per miss: the fingerprint is cloned once for
-        // the memo key and lent to `analyze` (which only clones it again on
-        // the cold first-build of an engine).
-        let engine_key = fp.clone();
-        let outcome = Arc::new(self.analyze(job, n, &engine_key));
-        let memo_key = MemoKey {
-            pairs: job.canon.pairs().to_vec(),
-            m: job.req.m,
-            engine: engine_key,
-        };
-        self.memo
-            .entry(bucket_key)
-            .or_default()
-            .push((memo_key, Arc::clone(&outcome)));
+        let outcome = Arc::new(self.analyze(job));
+        self.memo.insert(job, Arc::clone(&outcome));
         // A fresh memo entry is not journaled (the memo is an optimization,
         // re-derivable from requests), but it does age the checkpoint.
         if let Some(dur) = self.dur.as_deref() {
@@ -625,7 +657,7 @@ impl Shard {
         (outcome, false)
     }
 
-    fn analyze(&mut self, job: &AnalyzeJob, n: usize, engine_key: &str) -> AnalysisOutcome {
+    fn analyze(&mut self, job: &AnalyzeJob) -> AnalysisOutcome {
         let invalid = |algorithm: String, reason: String| AnalysisOutcome {
             algorithm,
             m: job.req.m,
@@ -640,15 +672,15 @@ impl Shard {
                 )
             }
         };
-        if !self.engines.contains_key(engine_key) {
-            match job.req.algorithm.build_with(n, &job.req.options()) {
+        if !self.engines.contains_key(&job.engine) {
+            match job.req.algorithm.build_with(ts.len(), &job.req.options()) {
                 Ok(built) => {
-                    self.engines.insert(engine_key.to_string(), built);
+                    self.engines.insert(job.engine.clone(), built);
                 }
                 Err(e) => return invalid(job.req.algorithm.to_string(), e.to_string()),
             }
         }
-        let engine = self.engines.get_mut(engine_key).expect("just ensured");
+        let engine = self.engines.get_mut(&job.engine).expect("just ensured");
         let name = engine.name();
         let m = job.req.m;
         // Disjoint-field reborrow so the closure can use the workspace

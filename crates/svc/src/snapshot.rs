@@ -1,6 +1,6 @@
 //! Persistent memo store: snapshot/restore of shard memo tables.
 //!
-//! A [`Service`](crate::Service) accumulates shard-local memo tables
+//! A [`Service`](crate::Service) accumulates per-shard memo tables
 //! mapping `(canonical pairs, m, engine fingerprint)` to analysis
 //! outcomes. Restarting the process discards them — and with them the
 //! duplicate-heavy speedup the memo produces. This module makes the memo

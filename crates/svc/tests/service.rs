@@ -1,9 +1,12 @@
-//! Service-level guarantees: memo-hit ≡ fresh bit-identity, bounded
-//! queues under backpressure, per-request budget isolation, and panic
-//! isolation.
+//! Service-level guarantees: memo-hit ≡ fresh bit-identity, hits served
+//! on the submitting thread, bounded queues under backpressure,
+//! per-request budget isolation, and panic isolation.
 
 use rmts_core::{AlgorithmSpec, BoundSpec};
-use rmts_svc::{AnalyzeRequest, BudgetSpec, CanonicalSet, Service, ServiceConfig, Verdict};
+use rmts_svc::{
+    AnalysisOutcome, AnalyzeRequest, BudgetSpec, CanonicalSet, Service, ServiceConfig, Verdict,
+};
+use std::sync::Barrier;
 
 fn light_pairs(seed: u64) -> Vec<(u64, u64)> {
     // A small deterministic family of valid task sets, keyed by seed.
@@ -11,6 +14,33 @@ fn light_pairs(seed: u64) -> Vec<(u64, u64)> {
     base.iter()
         .map(|&(c, t)| (c, t + (seed % 3) * t)) // stretch periods per seed
         .collect()
+}
+
+/// A fresh, service-free reference answer: same canonicalization, engine
+/// built directly from the spec.
+fn fresh_outcome(req: &AnalyzeRequest) -> AnalysisOutcome {
+    let canon = CanonicalSet::of_pairs(&req.taskset);
+    let ts = canon.to_taskset().unwrap();
+    let engine = req.algorithm.build_with(ts.len(), &req.options()).unwrap();
+    let verdict = match engine.partition(&ts, req.m) {
+        Ok(p) => Verdict::Accepted {
+            processors_used: p.processors.iter().filter(|q| !q.is_empty()).count(),
+            splits: p.split_tasks().iter().map(|t| t.0).collect(),
+            exactness: p.exactness,
+        },
+        Err(rej) => Verdict::Rejected {
+            phase: rej.phase,
+            task: rej.task.map(|t| t.0),
+            unassigned: rej.unassigned.iter().map(|t| t.0).collect(),
+            analysis: rej.analysis,
+            reason: rej.reason.clone(),
+        },
+    };
+    AnalysisOutcome {
+        algorithm: engine.name(),
+        m: req.m,
+        verdict,
+    }
 }
 
 /// Duplicate-heavy batch: every memoized outcome must serialize to exactly
@@ -47,36 +77,80 @@ fn memo_hits_are_bit_identical_to_fresh_analysis() {
     assert_eq!(stats.memo_hits as usize, n - 12);
 
     for (req, resp) in reqs.iter().zip(&responses) {
-        // Fresh, service-free reference: same canonicalization, engine
-        // built directly from the spec.
-        let canon = CanonicalSet::of_pairs(&req.taskset);
-        let ts = canon.to_taskset().unwrap();
-        let engine = req.algorithm.build_with(ts.len(), &req.options()).unwrap();
-        let fresh_verdict = match engine.partition(&ts, req.m) {
-            Ok(p) => Verdict::Accepted {
-                processors_used: p.processors.iter().filter(|q| !q.is_empty()).count(),
-                splits: p.split_tasks().iter().map(|t| t.0).collect(),
-                exactness: p.exactness,
-            },
-            Err(rej) => Verdict::Rejected {
-                phase: rej.phase,
-                task: rej.task.map(|t| t.0),
-                unassigned: rej.unassigned.iter().map(|t| t.0).collect(),
-                analysis: rej.analysis,
-                reason: rej.reason.clone(),
-            },
-        };
-        let fresh = rmts_svc::AnalysisOutcome {
-            algorithm: engine.name(),
-            m: req.m,
-            verdict: fresh_verdict,
-        };
         assert_eq!(
             serde_json::to_string(&*resp.outcome).unwrap(),
-            serde_json::to_string(&fresh).unwrap(),
+            serde_json::to_string(&fresh_outcome(req)).unwrap(),
             "memoized outcome differs from fresh analysis for {req:?}"
         );
     }
+}
+
+/// K threads submit the same unseen set at once. Whichever submissions
+/// miss on their own thread queue up on one shard, which re-checks the
+/// memo before analysing: exactly one analysis, K − 1 hits, one answer.
+#[test]
+fn concurrent_duplicates_are_analysed_once() {
+    const K: usize = 8;
+    let svc = Service::new(ServiceConfig::new().with_shards(2));
+    let req = AnalyzeRequest::new(
+        vec![(3, 10), (4, 15), (5, 20), (7, 35), (9, 45)],
+        2,
+        AlgorithmSpec::RmTsLight,
+    );
+    let start = Barrier::new(K);
+    let outcomes: Vec<String> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..K)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    let resp = svc.submit(req.clone()).wait();
+                    serde_json::to_string(&*resp.outcome).unwrap()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    let stats = svc.stats();
+    assert_eq!(stats.memo_misses, 1, "one analysis for K identical sets");
+    assert_eq!(stats.memo_hits as usize, K - 1);
+    assert_eq!(stats.completed as usize, K);
+    let fresh = serde_json::to_string(&fresh_outcome(&req)).unwrap();
+    for outcome in &outcomes {
+        assert_eq!(outcome, &fresh);
+    }
+}
+
+/// A service restored from a snapshot answers a restored set from its
+/// memo — `memo_hit: true`, bit-identical to fresh analysis — without
+/// touching a shard: no shard busy time and no queue depth are recorded.
+#[test]
+fn restored_hits_never_touch_a_shard() {
+    let path = std::env::temp_dir().join(format!(
+        "rmts_service_restored_hits_{}.bin",
+        std::process::id()
+    ));
+    let req = AnalyzeRequest::new(light_pairs(1), 2, AlgorithmSpec::RmTsLight);
+    let warm = Service::new(ServiceConfig::new().with_shards(2));
+    assert!(!warm.submit(req.clone()).wait().memo_hit);
+    warm.shutdown_with_snapshot(&path).unwrap();
+
+    let (svc, report) = Service::with_restored(ServiceConfig::new().with_shards(2), &path);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(report.restored, 1);
+    let before = svc.stats();
+    let resp = svc.submit(req.clone()).wait();
+    let after = svc.stats();
+    assert!(
+        resp.memo_hit,
+        "a restored set must be answered from the memo"
+    );
+    assert_eq!(
+        serde_json::to_string(&*resp.outcome).unwrap(),
+        serde_json::to_string(&fresh_outcome(&req)).unwrap()
+    );
+    assert_eq!((after.memo_hits, after.memo_misses), (1, 0));
+    assert_eq!(after.shard_busy_ns, before.shard_busy_ns);
+    assert_eq!(after.max_queue_depth, before.max_queue_depth);
 }
 
 /// Relabeled and time-scaled duplicates of one set must share a single

@@ -19,12 +19,19 @@ fn write_demo_taskset() -> temppath::TempPath {
 /// Minimal self-cleaning temp-file helper (std only).
 mod temppath {
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Tests run in parallel threads of one process: the counter keeps two
+    /// live `TempPath`s with the same `name` from sharing (and deleting)
+    /// one file.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
 
     pub struct TempPath(PathBuf);
 
     impl TempPath {
         pub fn new(name: &str, contents: &str) -> TempPath {
-            let p = std::env::temp_dir().join(format!("{}_{name}", std::process::id()));
+            let k = NEXT.fetch_add(1, Ordering::Relaxed);
+            let p = std::env::temp_dir().join(format!("{}_{k}_{name}", std::process::id()));
             std::fs::write(&p, contents).expect("write temp file");
             TempPath(p)
         }
