@@ -21,11 +21,13 @@
 use criterion::{BenchmarkId, Criterion};
 use rand::Rng;
 use rmts_bench::{general_cfg, SEED};
-use rmts_core::{AdmissionPolicy, Configure, Partitioner, ProcessorState, RmTsLight};
+use rmts_core::{
+    AdmissionPolicy, AnalysisControl, Configure, Partitioner, ProcessorState, RmTsLight,
+};
 use rmts_gen::{trial_rng, GenConfig, PeriodGen, UtilizationSpec};
 use rmts_rta::budget::{admits_budget, max_admissible_budget_bsearch, NewcomerSpec};
 use rmts_rta::RtaCache;
-use rmts_taskmodel::{Priority, Subtask, TaskId, TaskSet, Time};
+use rmts_taskmodel::{BudgetMeter, Priority, Subtask, TaskId, TaskSet, Time};
 use serde::Value;
 use std::hint::black_box;
 
@@ -58,6 +60,7 @@ fn scenario(n: usize, trial: u64) -> Scenario {
     let ts = processor_cfg(n).generate(&mut rng).expect("generator");
     let mut cache = RtaCache::new();
     let mut workload = Vec::new();
+    let meter = BudgetMeter::unlimited();
     for (i, (_, task)) in ts.iter_prioritized().enumerate() {
         // Re-rank priorities from 1 so the newcomer can take priority 0.
         let s = Subtask::whole(task, Priority(i as u32 + 1));
@@ -67,7 +70,7 @@ fn scenario(n: usize, trial: u64) -> Scenario {
             deadline: s.deadline,
             priority: s.priority,
         };
-        if cache.probe(&spec, s.wcet) {
+        if cache.probe_remember(&spec, s.wcet, &meter) == Ok(true) {
             cache.push(s);
             workload.push(s);
         }
@@ -104,19 +107,22 @@ fn exp1_sets(m: usize, count: u64) -> Vec<TaskSet> {
 
 fn bench(c: &mut Criterion) {
     // Correctness gate before timing: cached and scratch agree everywhere.
+    // The cached kernels run under an unlimited meter, the zero-cost case
+    // of the budgeted entry points production calls.
+    let meter = BudgetMeter::unlimited();
     for trial in 0..50 {
         let mut sc = scenario(16, trial);
         for &x in &sc.budgets {
             assert_eq!(
-                sc.cache.probe(&sc.spec, x),
-                admits_budget(&sc.workload, &sc.spec, x),
+                sc.cache.probe_remember(&sc.spec, x, &meter),
+                Ok(admits_budget(&sc.workload, &sc.spec, x)),
                 "probe/admits_budget disagree on trial {trial}"
             );
         }
         let cap = sc.spec.deadline;
         assert_eq!(
-            sc.cache.max_budget_bsearch(&sc.spec, cap),
-            max_admissible_budget_bsearch(&sc.workload, &sc.spec, cap),
+            sc.cache.max_budget_bsearch(&sc.spec, cap, &meter),
+            Ok(max_admissible_budget_bsearch(&sc.workload, &sc.spec, cap)),
             "maxsplit bsearch disagrees on trial {trial}"
         );
     }
@@ -131,14 +137,18 @@ fn bench(c: &mut Criterion) {
         let scenarios: Vec<Scenario> = (0..16).map(|t| scenario(n, t)).collect();
 
         // Steady-state probes: one admission decision per iteration,
-        // rotating over scenarios × the budget ladder.
-        group.bench_with_input(BenchmarkId::new("probe_cached", n), &scenarios, |b, sc| {
+        // rotating over scenarios × the budget ladder. The cached probe is
+        // `&mut` (it memoizes its fixed points for the admit-then-place
+        // push), so its scenarios are owned mutably by the closure.
+        let mut probe_scenarios: Vec<Scenario> = (0..16).map(|t| scenario(n, t)).collect();
+        group.bench_function(BenchmarkId::new("probe_cached", n), |b| {
             let mut i = 0;
             b.iter(|| {
                 i += 1;
-                let s = &sc[i % sc.len()];
+                let idx = i % probe_scenarios.len();
+                let s = &mut probe_scenarios[idx];
                 let x = s.budgets[i % s.budgets.len()];
-                black_box(s.cache.probe(&s.spec, x))
+                black_box(s.cache.probe_remember(&s.spec, x, &meter))
             })
         });
         group.bench_with_input(BenchmarkId::new("probe_scratch", n), &scenarios, |b, sc| {
@@ -162,7 +172,7 @@ fn bench(c: &mut Criterion) {
                 i += 1;
                 let idx = i % ms_scenarios.len();
                 let s = &mut ms_scenarios[idx];
-                black_box(s.cache.max_budget_bsearch(&s.spec, s.spec.deadline))
+                black_box(s.cache.max_budget_bsearch(&s.spec, s.spec.deadline, &meter))
             })
         });
         group.bench_with_input(
@@ -223,7 +233,11 @@ fn bench(c: &mut Criterion) {
         priority: Priority(0),
     };
     let mut p = empty.clone();
-    assert!(AdmissionPolicy::exact().fits_whole(&mut p, &spec, Time::new(5_000)));
+    let ctl = AnalysisControl::unlimited();
+    assert_eq!(
+        AdmissionPolicy::exact().fits_whole(&mut p, &spec, Time::new(5_000), &ctl),
+        Ok(true)
+    );
 }
 
 /// One recorded RM-TS/light partition pass over the EXP-1 sets: the

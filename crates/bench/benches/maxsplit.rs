@@ -14,7 +14,7 @@ use rmts_core::MaxSplitStrategy;
 use rmts_gen::trial_rng;
 use rmts_rta::budget::NewcomerSpec;
 use rmts_rta::RtaCache;
-use rmts_taskmodel::{Priority, Subtask, SubtaskKind, TaskId, Time};
+use rmts_taskmodel::{BudgetMeter, Priority, Subtask, SubtaskKind, TaskId, Time};
 use std::hint::black_box;
 
 /// A random already-schedulable workload of `n` subtasks plus a newcomer
@@ -47,7 +47,9 @@ fn scenario(n: usize, trial: u64) -> (Vec<Subtask>, NewcomerSpec) {
 
 fn bench(c: &mut Criterion) {
     // Correctness gate before timing: both strategies agree on 100 cases,
-    // through the scratch path and through the cache.
+    // through the scratch path and through the cache (unmetered: an
+    // unlimited meter, the zero-cost case).
+    let meter = BudgetMeter::unlimited();
     for trial in 0..100 {
         let (w, spec) = scenario(6, trial);
         let cap = Time::new(spec.deadline.ticks());
@@ -63,8 +65,8 @@ fn bench(c: &mut Criterion) {
             MaxSplitStrategy::SchedulingPoints,
         ] {
             assert_eq!(
-                x,
-                strategy.max_budget_cached(&mut cache, &spec, cap),
+                Ok(x),
+                strategy.max_budget_cached(&mut cache, &spec, cap, &meter),
                 "cached {strategy:?} disagreed on trial {trial}"
             );
         }
@@ -112,7 +114,12 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     i = (i + 1) % sc.len();
                     let spec = &sc[i].1;
-                    black_box(strategy.max_budget_cached(&mut caches[i], spec, spec.deadline))
+                    black_box(strategy.max_budget_cached(
+                        &mut caches[i],
+                        spec,
+                        spec.deadline,
+                        &meter,
+                    ))
                 })
             });
         }

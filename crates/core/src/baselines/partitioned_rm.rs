@@ -20,7 +20,7 @@ use crate::partition::{Partition, PartitionPhase, PartitionReject, PartitionResu
 use crate::processor::ProcessorState;
 use rmts_bounds::ll_bound;
 use rmts_rta::budget::NewcomerSpec;
-use rmts_taskmodel::{Priority, SplitPlan, Subtask, Task, TaskSet};
+use rmts_taskmodel::{BudgetMeter, Priority, SplitPlan, Subtask, Task, TaskSet};
 use serde::{Deserialize, Serialize};
 
 /// Bin-packing placement heuristic.
@@ -178,7 +178,12 @@ impl PartitionedRm {
                     deadline: candidate.deadline,
                     priority: candidate.priority,
                 };
-                proc.rta_cache_mut().probe_remember(&spec, candidate.wcet)
+                // Strict partitioning runs unbudgeted, and an unlimited
+                // meter never exhausts.
+                let meter = BudgetMeter::unlimited();
+                proc.rta_cache_mut()
+                    .probe_remember(&spec, candidate.wcet, &meter)
+                    == Ok(true)
             }
             UniAdmission::LiuLayland => {
                 let n = proc.len() + 1;

@@ -280,7 +280,7 @@ pub fn run_phase(
         }
         let proc = &mut processors[q];
         let fits = policy
-            .fits_whole_ctl(proc, &spec, cap, ctl)
+            .fits_whole(proc, &spec, cap, ctl)
             .map_err(|e| EngineError {
                 task: spec.parent,
                 cause: EngineFault::Budget(e),
@@ -294,7 +294,7 @@ pub fn run_phase(
                 SubtaskKind::Whole
             };
             proc.push(spec.with_budget(cap, seq, kind));
-            let response = policy.record_response_ctl(proc, proc.len() - 1, ctl);
+            let response = policy.record_response(proc, proc.len() - 1, ctl);
             utils[q] = selection_key(proc.utilization());
             plan.seal_tail(q, response).map_err(|cause| EngineError {
                 task: spec.parent,
@@ -310,7 +310,7 @@ pub fn run_phase(
             // the processor (Definition 3 guarantees a bottleneck exists).
             let x = {
                 let _span = rmts_obs::span("core.phase.maxsplit_ns");
-                policy.max_budget_ctl(proc, &spec, cap, ctl)
+                policy.max_budget(proc, &spec, cap, ctl)
             }
             .map_err(|e| EngineError {
                 task: spec.parent,
@@ -325,7 +325,7 @@ pub fn run_phase(
             let mut body = None;
             if !x.is_zero() {
                 proc.push(spec.with_budget(x, seq, SubtaskKind::Body(seq)));
-                let response = policy.record_response_ctl(proc, proc.len() - 1, ctl);
+                let response = policy.record_response(proc, proc.len() - 1, ctl);
                 plan.push_body(x, q, response)
                     .map_err(|cause| EngineError {
                         task: spec.parent,
@@ -670,7 +670,7 @@ fn splice_item_live(
         let cap = plan.remaining();
         let seq = (plan.body_count() + 1) as u32;
         let proc = &mut st.procs[q];
-        let fits = policy.fits_whole_ctl(proc, &spec, cap, ctl).ok()?;
+        let fits = policy.fits_whole(proc, &spec, cap, ctl).ok()?;
         if fits {
             let kind = if plan.is_split() {
                 SubtaskKind::Tail
@@ -678,19 +678,19 @@ fn splice_item_live(
                 SubtaskKind::Whole
             };
             proc.push(spec.with_budget(cap, seq, kind));
-            let response = policy.record_response_ctl(proc, proc.len() - 1, ctl);
+            let response = policy.record_response(proc, proc.len() - 1, ctl);
             st.utils[q] = selection_key(st.procs[q].utilization());
             plan.seal_tail(q, response).ok()?;
             rec.push_event(StepEvent::Sealed { proc: q, response });
             rmts_obs::count("core.engine.whole_assignments", 1);
             return Some(());
         }
-        let x = policy.max_budget_ctl(proc, &spec, cap, ctl).ok()?;
+        let x = policy.max_budget(proc, &spec, cap, ctl).ok()?;
         let x = x.min(cap - Time::new(1));
         let mut body = None;
         if !x.is_zero() {
             proc.push(spec.with_budget(x, seq, SubtaskKind::Body(seq)));
-            let response = policy.record_response_ctl(proc, proc.len() - 1, ctl);
+            let response = policy.record_response(proc, proc.len() - 1, ctl);
             plan.push_body(x, q, response).ok()?;
             rmts_obs::count("core.engine.splits", 1);
             body = Some((x, response));

@@ -5,8 +5,9 @@
 //! hang or reject outright, the engine walks a *ladder* of admission tests,
 //! each cheaper (and no less sound) than the last:
 //!
-//! 1. **Exact RTA** — the paper's test; charges one probe per admission
-//!    question and one iteration per fixed-point ascent step.
+//! 1. **Exact RTA** — the paper's test, metered through the processor's
+//!    [`RtaCache`](rmts_rta::RtaCache): one probe per admission question
+//!    and one iteration per fixed point evaluated.
 //! 2. **TDA** (Lehoczky/Sha/Ding) — the same exact criterion evaluated at
 //!    scheduling points; runs under its *own* meter armed from the same
 //!    budget with the iteration cap lifted (iteration caps bound fixed-point
@@ -87,8 +88,11 @@ pub struct AnalysisControl {
     /// shared (both meters are armed at the same instant from the same
     /// duration).
     tda_meter: BudgetMeter,
-    /// `false` when the budget is unlimited: the engine then takes the
-    /// historical unmetered path, bit-identical to pre-budget behavior.
+    /// `false` when the budget is unlimited. The meters then never
+    /// exhaust, every admission question is answered at rung 1, and the
+    /// policy's `cached` flag and `MaxSplitStrategy` pick the
+    /// implementation. `true` routes exact admission through the
+    /// processor's `RtaCache`, the one metered exact path.
     limited: bool,
     degrade: bool,
     /// Fault-injection override for the rung-3 threshold (verify harness
@@ -148,7 +152,8 @@ impl AnalysisControl {
         &self.tda_meter
     }
 
-    /// `true` when a finite budget is armed (the metered engine path).
+    /// `true` when a finite budget is armed: exact admission then meters
+    /// through the processor's `RtaCache`.
     pub fn is_limited(&self) -> bool {
         self.limited
     }
@@ -196,7 +201,8 @@ impl AnalysisControl {
     }
 
     /// The rung of the most recent verdict (consulted by
-    /// `record_response_ctl` immediately after an admission call).
+    /// [`AdmissionPolicy::record_response`](crate::AdmissionPolicy::record_response)
+    /// immediately after an admission call).
     pub fn last_rung(&self) -> Rung {
         self.last_rung.get()
     }

@@ -10,7 +10,7 @@
 
 use rmts_rta::budget::{max_admissible_budget, max_admissible_budget_bsearch, NewcomerSpec};
 use rmts_rta::RtaCache;
-use rmts_taskmodel::{Subtask, Time};
+use rmts_taskmodel::{AnalysisError, BudgetMeter, Subtask, Time};
 use serde::{Deserialize, Serialize};
 
 /// Which exact `MaxSplit` implementation to use.
@@ -40,10 +40,20 @@ impl MaxSplitStrategy {
     /// prefixes off the priority-sorted slice and reuses the cache's
     /// internal point buffer. Bit-identical to [`Self::max_budget`]
     /// (property-tested in `rmts-rta`).
-    pub fn max_budget_cached(self, cache: &mut RtaCache, new: &NewcomerSpec, cap: Time) -> Time {
+    ///
+    /// Only the binary search charges `meter`, so a budgeted caller uses
+    /// [`MaxSplitStrategy::BinarySearch`] (admission does); the
+    /// scheduling-point evaluation never fails.
+    pub fn max_budget_cached(
+        self,
+        cache: &mut RtaCache,
+        new: &NewcomerSpec,
+        cap: Time,
+        meter: &BudgetMeter,
+    ) -> Result<Time, AnalysisError> {
         match self {
-            MaxSplitStrategy::BinarySearch => cache.max_budget_bsearch(new, cap),
-            MaxSplitStrategy::SchedulingPoints => cache.max_budget_points(new, cap),
+            MaxSplitStrategy::BinarySearch => cache.max_budget_bsearch(new, cap, meter),
+            MaxSplitStrategy::SchedulingPoints => Ok(cache.max_budget_points(new, cap)),
         }
     }
 }
@@ -98,8 +108,8 @@ mod tests {
                 MaxSplitStrategy::SchedulingPoints,
             ] {
                 assert_eq!(
-                    strat.max_budget(&w, &new, cap),
-                    strat.max_budget_cached(&mut cache, &new, cap),
+                    Ok(strat.max_budget(&w, &new, cap)),
+                    strat.max_budget_cached(&mut cache, &new, cap, &BudgetMeter::unlimited()),
                     "{strat:?} cap {cap:?}"
                 );
             }

@@ -157,10 +157,11 @@ impl<B: ParametricBound> RmTs<B> {
         prio: Priority,
         task: &Task,
         policy: &AdmissionPolicy,
+        ctl: &AnalysisControl,
     ) -> SplitPlan {
         processors[q].push(Subtask::whole(task, prio));
         let last = processors[q].len() - 1;
-        let response = policy.record_response(&mut processors[q], last);
+        let response = policy.record_response(&mut processors[q], last, ctl);
         let mut plan = SplitPlan::new(*task, prio);
         // Invariant: a whole task was never split, so its full (positive)
         // budget remains and seal_tail cannot underflow the deadline.
@@ -280,6 +281,7 @@ impl<B: ParametricBound> RmTs<B> {
                 prio,
                 task,
                 &self.policy,
+                &ctl,
             ));
             processors[q].role = ProcessorRole::Dedicated;
             processors[q].full = true;
@@ -331,6 +333,7 @@ impl<B: ParametricBound> RmTs<B> {
                     prio,
                     task,
                     &self.policy,
+                    &ctl,
                 ));
                 processors[q].role = ProcessorRole::PreAssigned;
                 reserved.insert(task.id);

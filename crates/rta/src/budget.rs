@@ -21,9 +21,9 @@
 //! by the remaining budget. Both implementations are cross-checked against
 //! each other by property tests.
 
-use crate::rta::{fixed_point, fixed_point_metered, interference};
+use crate::rta::{fixed_point, higher_priority_of};
 use crate::tda::{scheduling_points, time_demand};
-use rmts_taskmodel::{AnalysisError, BudgetMeter, Priority, Subtask, SubtaskKind, TaskId, Time};
+use rmts_taskmodel::{Priority, Subtask, SubtaskKind, TaskId, Time};
 
 /// The shape of the (sub)task about to be placed: everything except its
 /// budget, which is what we are solving for.
@@ -55,8 +55,11 @@ impl NewcomerSpec {
     }
 }
 
-/// `true` iff `workload ∪ {newcomer with budget x}` is fully schedulable.
-fn admits(workload: &[Subtask], new: &NewcomerSpec, x: Time) -> bool {
+/// `true` iff `workload ∪ {newcomer with budget x}` is fully schedulable:
+/// the monotone feasibility probe behind [`max_admissible_budget_bsearch`],
+/// re-analyzing every affected subtask from scratch. It is the reference
+/// the incremental [`RtaCache`](crate::RtaCache) is property-tested against.
+pub fn admits_budget(workload: &[Subtask], new: &NewcomerSpec, x: Time) -> bool {
     let mut fixed_points = 0u64;
     let ok = admits_counted(workload, new, x, &mut fixed_points);
     if fixed_points != 0 && rmts_obs::enabled() {
@@ -91,12 +94,7 @@ fn admits_counted(
         if !new.priority.is_higher_than(s.priority) {
             continue; // unaffected (higher or equal priority than newcomer)
         }
-        let mut hp: Vec<(Time, Time)> = workload
-            .iter()
-            .enumerate()
-            .filter(|&(j, o)| j != i && o.priority.is_higher_than(s.priority))
-            .map(|(_, o)| (o.wcet, o.period))
-            .collect();
+        let mut hp: Vec<(Time, Time)> = higher_priority_of(workload, i).collect();
         if !x.is_zero() {
             hp.push((x, new.period));
         }
@@ -113,12 +111,12 @@ fn admits_counted(
 /// Returns `Time::ZERO` when nothing fits (including when the workload is
 /// already unschedulable on its own).
 pub fn max_admissible_budget_bsearch(workload: &[Subtask], new: &NewcomerSpec, cap: Time) -> Time {
-    if !admits(workload, new, Time::ZERO) {
+    if !admits_budget(workload, new, Time::ZERO) {
         return Time::ZERO;
     }
     let mut lo = Time::ZERO; // feasible
     let mut hi = cap.min(new.deadline); // candidate upper end
-    if admits(workload, new, hi) {
+    if admits_budget(workload, new, hi) {
         return hi;
     }
     // Invariant: lo feasible, hi infeasible.
@@ -126,7 +124,7 @@ pub fn max_admissible_budget_bsearch(workload: &[Subtask], new: &NewcomerSpec, c
     while hi.ticks() - lo.ticks() > 1 {
         iters += 1;
         let mid = Time::new((lo.ticks() + hi.ticks()) / 2);
-        if admits(workload, new, mid) {
+        if admits_budget(workload, new, mid) {
             lo = mid;
         } else {
             hi = mid;
@@ -169,12 +167,7 @@ pub fn max_admissible_budget(workload: &[Subtask], new: &NewcomerSpec, cap: Time
         if x_max.is_zero() {
             return Time::ZERO;
         }
-        let hp: Vec<(Time, Time)> = workload
-            .iter()
-            .enumerate()
-            .filter(|&(j, o)| j != i && o.priority.is_higher_than(s.priority))
-            .map(|(_, o)| (o.wcet, o.period))
-            .collect();
+        let hp: Vec<(Time, Time)> = higher_priority_of(workload, i).collect();
         let mut periods: Vec<Time> = hp.iter().map(|&(_, t)| t).collect();
         periods.push(new.period);
         let mut tolerance: Option<Time> = None;
@@ -194,128 +187,6 @@ pub fn max_admissible_budget(workload: &[Subtask], new: &NewcomerSpec, cap: Time
         }
     }
     x_max
-}
-
-/// Convenience re-export of the monotone feasibility probe used by both
-/// implementations; exposed for the partitioning layer and for tests.
-pub fn admits_budget(workload: &[Subtask], new: &NewcomerSpec, x: Time) -> bool {
-    admits(workload, new, x)
-}
-
-/// Budget-aware [`admits_budget`]: charges one probe per call and one
-/// iteration per fixed-point step, so a starved [`BudgetMeter`] yields a
-/// typed [`AnalysisError`] instead of an open-ended analysis.
-pub fn admits_budget_metered(
-    workload: &[Subtask],
-    new: &NewcomerSpec,
-    x: Time,
-    meter: &BudgetMeter,
-) -> Result<bool, AnalysisError> {
-    meter.charge_probe()?;
-    if x > new.deadline {
-        return Ok(false);
-    }
-    // Newcomer's own response time.
-    let hp_new: Vec<(Time, Time)> = workload
-        .iter()
-        .filter(|s| s.priority.is_higher_than(new.priority))
-        .map(|s| (s.wcet, s.period))
-        .collect();
-    if fixed_point_metered(x, new.deadline, &hp_new, meter)?.is_none() {
-        return Ok(false);
-    }
-    // Existing lower-priority subtasks with the newcomer's interference.
-    for (i, s) in workload.iter().enumerate() {
-        if !new.priority.is_higher_than(s.priority) {
-            continue; // unaffected (higher or equal priority than newcomer)
-        }
-        let mut hp: Vec<(Time, Time)> = workload
-            .iter()
-            .enumerate()
-            .filter(|&(j, o)| j != i && o.priority.is_higher_than(s.priority))
-            .map(|(_, o)| (o.wcet, o.period))
-            .collect();
-        if !x.is_zero() {
-            hp.push((x, new.period));
-        }
-        if fixed_point_metered(s.wcet, s.deadline, &hp, meter)?.is_none() {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-/// Budget-aware [`max_admissible_budget`]: same scheduling-point slack
-/// computation, charging one probe per call and one iteration per
-/// scheduling point evaluated.
-pub fn max_admissible_budget_metered(
-    workload: &[Subtask],
-    new: &NewcomerSpec,
-    cap: Time,
-    meter: &BudgetMeter,
-) -> Result<Time, AnalysisError> {
-    meter.charge_probe()?;
-    let cap = cap.min(new.deadline);
-    if cap.is_zero() {
-        return Ok(Time::ZERO);
-    }
-
-    // 1) The newcomer's own constraint: X ≤ max_t (t − I_hp(t)).
-    let hp_new: Vec<(Time, Time)> = workload
-        .iter()
-        .filter(|s| s.priority.is_higher_than(new.priority))
-        .map(|s| (s.wcet, s.period))
-        .collect();
-    let hp_new_periods: Vec<Time> = hp_new.iter().map(|&(_, t)| t).collect();
-    let mut best = Time::ZERO;
-    for t in scheduling_points(new.deadline, &hp_new_periods) {
-        meter.charge_iterations(1)?;
-        let demand = time_demand(Time::ZERO, &hp_new, t);
-        if let Some(slack) = t.checked_sub(demand) {
-            best = best.max(slack);
-        }
-    }
-    let mut x_max = best.min(cap);
-
-    // 2) Each existing lower-priority (sub)task's tolerance.
-    for (i, s) in workload.iter().enumerate() {
-        if !new.priority.is_higher_than(s.priority) {
-            continue;
-        }
-        if x_max.is_zero() {
-            return Ok(Time::ZERO);
-        }
-        let hp: Vec<(Time, Time)> = workload
-            .iter()
-            .enumerate()
-            .filter(|&(j, o)| j != i && o.priority.is_higher_than(s.priority))
-            .map(|(_, o)| (o.wcet, o.period))
-            .collect();
-        let mut periods: Vec<Time> = hp.iter().map(|&(_, t)| t).collect();
-        periods.push(new.period);
-        let mut tolerance: Option<Time> = None;
-        for t in scheduling_points(s.deadline, &periods) {
-            meter.charge_iterations(1)?;
-            let demand = time_demand(s.wcet, &hp, t);
-            if let Some(slack) = t.checked_sub(demand) {
-                let releases = t.div_ceil(new.period);
-                let x_t = Time::new(slack.ticks() / releases);
-                tolerance = Some(tolerance.map_or(x_t, |cur| cur.max(x_t)));
-            }
-        }
-        match tolerance {
-            // No scheduling point works even with X = 0: the workload was
-            // already unschedulable.
-            None => return Ok(Time::ZERO),
-            Some(tol) => x_max = x_max.min(tol),
-        }
-    }
-    Ok(x_max)
-}
-
-/// Interference helper re-export for downstream diagnostics.
-pub fn newcomer_interference(new: &NewcomerSpec, x: Time, window: Time) -> Time {
-    interference(x, new.period, window)
 }
 
 #[cfg(test)]
@@ -445,29 +316,6 @@ mod tests {
         assert!(x > Time::ZERO);
         assert!(admits_budget(&w, &new, x));
         assert!(!admits_budget(&w, &new, x + Time::new(1)));
-    }
-
-    #[test]
-    fn metered_probe_and_maxsplit_match_exact() {
-        use rmts_taskmodel::{AnalysisBudget, BudgetMeter};
-        let w = [sub(1, 5, 3, 12, 12), sub(2, 7, 2, 24, 24)];
-        let new = newcomer(0, 4, 4);
-        let meter = BudgetMeter::unlimited();
-        let exact = max_admissible_budget(&w, &new, Time::new(100));
-        assert_eq!(
-            max_admissible_budget_metered(&w, &new, Time::new(100), &meter),
-            Ok(exact)
-        );
-        assert_eq!(admits_budget_metered(&w, &new, exact, &meter), Ok(true));
-        assert_eq!(
-            admits_budget_metered(&w, &new, exact + Time::new(1), &meter),
-            Ok(false)
-        );
-        let starved = AnalysisBudget::unlimited().with_max_iterations(0).start();
-        assert!(admits_budget_metered(&w, &new, exact, &starved).is_err());
-        assert!(max_admissible_budget_metered(&w, &new, Time::new(100), &starved).is_err());
-        let probeless = AnalysisBudget::unlimited().with_max_probes(0).start();
-        assert!(admits_budget_metered(&w, &new, exact, &probeless).is_err());
     }
 
     proptest! {

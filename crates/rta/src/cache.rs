@@ -24,6 +24,13 @@
 //! The cache is *exact*, not approximate: property tests in
 //! `tests/cache_equivalence.rs` prove every probe, response time and
 //! `MaxSplit` budget equals its scratch counterpart bit for bit.
+//!
+//! It is also the one budgeted exact-RTA path. [`RtaCache::probe_remember`]
+//! and [`RtaCache::max_budget_bsearch`] take a [`BudgetMeter`] and charge it
+//! one probe per call plus one iteration per fixed point evaluated, after
+//! the answer is known, so a meter can end a run but never change an
+//! answer. An unlimited meter is the zero-cost case. The scratch analyses
+//! in [`crate::budget`] stay unmetered: they are the reference.
 
 use crate::budget::NewcomerSpec;
 use crate::rta::{fixed_point_from, interference};
@@ -348,89 +355,18 @@ impl RtaCache {
     /// Subtasks with priority strictly above the newcomer are skipped
     /// entirely; strictly-lower ones are re-analyzed with the newcomer's
     /// interference added, warm-starting from their cached response times.
-    pub fn probe(&self, new: &NewcomerSpec, x: Time) -> bool {
-        let mut tally = ProbeTally::default();
-        let ok = self.probe_counted(new, x, &mut tally);
-        tally.flush();
-        ok
-    }
-
-    /// [`Self::probe`] body, accumulating the `rta.cache.*` tally locally
-    /// (flushed once by the public wrappers).
-    fn probe_counted(&self, new: &NewcomerSpec, x: Time, tally: &mut ProbeTally) -> bool {
-        if x > new.deadline {
-            return false;
-        }
-        // Newcomer's own response against its strictly-higher prefix.
-        let lt = self.lt_end(new.priority.0);
-        tally.miss();
-        if fixed_point_from(x, x, new.deadline, pairs(&self.sorted[..lt])).is_none() {
-            return false;
-        }
-        // Strictly-lower suffix under the newcomer's added interference.
-        let mut h = 0;
-        for k in self.le_end(new.priority.0)..self.sorted.len() {
-            let Some(prev) = self.resp[k] else {
-                tally.hit();
-                return false; // already missing without the newcomer
-            };
-            let me = &self.sorted[k];
-            // O(1) first demand step (see `push`): the cached fixed point
-            // plus the newcomer's interference there, still ≤ the new least
-            // fixed point. Overshooting the deadline decides the probe
-            // without evaluating the prefix even once.
-            let start = prev.saturating_add(interference(x, new.period, prev));
-            if start > me.deadline {
-                tally.hit();
-                return false;
-            }
-            // O(1) confirmation: the step crosses no prefix period multiple
-            // (`safe`) and no newcomer period multiple, so every ceiling
-            // term in the demand is unchanged and the step is already the
-            // new least fixed point — no prefix scan at all.
-            let n_bound = Time::new(new.period.ticks().saturating_mul(prev.div_ceil(new.period)));
-            if start <= self.safe[k] && start <= n_bound {
-                tally.hit();
-                continue;
-            }
-            while self.sorted[h].priority.0 < me.priority.0 {
-                h += 1;
-            }
-            tally.miss();
-            if fp_prefix_plus(
-                start,
-                me.wcet,
-                me.deadline,
-                &self.sorted[..h],
-                (x, new.period),
-            )
-            .is_none()
-            {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// [`Self::probe`], additionally memoizing the computed fixed points on
-    /// success so that an immediately following [`Self::push`] of exactly
-    /// the probed newcomer (the engine's admit-then-place pattern) splices
-    /// them in instead of re-deriving them. Verdicts are bit-identical to
-    /// [`Self::probe`].
-    pub fn probe_remember(&mut self, new: &NewcomerSpec, x: Time) -> bool {
-        let mut tally = ProbeTally::default();
-        let ok = self.probe_remember_counted(new, x, &mut tally);
-        tally.flush();
-        ok
-    }
-
-    /// Budget-aware [`Self::probe_remember`]: charges one probe up front
-    /// (which also reads the wall clock) and the probe's fixed-point
-    /// evaluations as iterations once the verdict is known. Every single
-    /// evaluation is deadline-bounded, so post-charging still bounds the
-    /// total work of a budgeted partitioning run while keeping the
-    /// memoized fast path bit-identical to the unmetered one.
-    pub fn probe_remember_metered(
+    /// On success the computed fixed points are memoized, so an immediately
+    /// following [`Self::push`] of exactly the probed newcomer (the engine's
+    /// admit-then-place pattern) splices them in instead of re-deriving
+    /// them.
+    ///
+    /// `meter` is charged one probe up front (which also reads the wall
+    /// clock) and the probe's fixed-point evaluations as iterations once the
+    /// verdict is known. Every single evaluation is deadline-bounded, so
+    /// post-charging still bounds the total work of a budgeted partitioning
+    /// run while keeping the verdict and the memo independent of the meter.
+    /// An unlimited meter never fails.
+    pub fn probe_remember(
         &mut self,
         new: &NewcomerSpec,
         x: Time,
@@ -438,19 +374,6 @@ impl RtaCache {
     ) -> Result<bool, AnalysisError> {
         meter.charge_probe()?;
         let mut tally = ProbeTally::default();
-        let ok = self.probe_remember_counted(new, x, &mut tally);
-        tally.flush();
-        meter.charge_iterations(tally.fixed_points())?;
-        Ok(ok)
-    }
-
-    /// [`Self::probe_remember`] body with the tally accumulated locally.
-    fn probe_remember_counted(
-        &mut self,
-        new: &NewcomerSpec,
-        x: Time,
-        tally: &mut ProbeTally,
-    ) -> bool {
         let mut warm = WarmProbe {
             scratch: match self.memo.take() {
                 Some(old) => old.resp, // reuse the allocation
@@ -458,7 +381,7 @@ impl RtaCache {
             },
             ..WarmProbe::default()
         };
-        let ok = self.probe_warm(new, x, &mut warm, tally);
+        let ok = self.probe_warm(new, x, &mut warm, &mut tally);
         if ok {
             self.memo = Some(ProbeMemo {
                 priority: new.priority,
@@ -473,12 +396,14 @@ impl RtaCache {
             self.stash_spare(warm.scratch);
             self.stash_spare(warm.resp);
         }
-        ok
+        tally.flush();
+        meter.charge_iterations(tally.fixed_points())?;
+        Ok(ok)
     }
 
     /// The largest admissible newcomer budget in `[0, cap]` by monotone
-    /// binary search over warm-started [`Self::probe`]-equivalent calls.
-    /// Identical search trajectory — and result — to
+    /// binary search over warm-started [`Self::probe_remember`]-equivalent
+    /// probes. Identical search trajectory — and result — to
     /// [`crate::budget::max_admissible_budget_bsearch`].
     ///
     /// On top of the per-subtask warm starts every probe gets from the
@@ -486,20 +411,11 @@ impl RtaCache {
     /// response times are monotone in the probed budget, so the fixed
     /// points found by the last *feasible* probe are valid (and much
     /// tighter) starting points for every later, larger budget.
-    pub fn max_budget_bsearch(&mut self, new: &NewcomerSpec, cap: Time) -> Time {
-        let mut tally = ProbeTally::default();
-        let mut iters = 0u64;
-        let out = self.max_budget_bsearch_counted(new, cap, &mut tally, &mut iters);
-        tally.flush();
-        rmts_obs::count("rta.maxsplit.bsearch_iters", iters);
-        out
-    }
-
-    /// Budget-aware [`Self::max_budget_bsearch`]: one probe charge for the
-    /// search plus one iteration charge per fixed-point evaluation across
-    /// all of its warm-started probes (same post-charge rationale as
-    /// [`Self::probe_remember_metered`]).
-    pub fn max_budget_bsearch_metered(
+    ///
+    /// `meter` is charged one probe for the search plus one iteration per
+    /// fixed-point evaluation across all of its probes (same post-charge
+    /// rationale as [`Self::probe_remember`]).
+    pub fn max_budget_bsearch(
         &mut self,
         new: &NewcomerSpec,
         cap: Time,
@@ -508,20 +424,6 @@ impl RtaCache {
         meter.charge_probe()?;
         let mut tally = ProbeTally::default();
         let mut iters = 0u64;
-        let out = self.max_budget_bsearch_counted(new, cap, &mut tally, &mut iters);
-        tally.flush();
-        rmts_obs::count("rta.maxsplit.bsearch_iters", iters);
-        meter.charge_iterations(tally.fixed_points())?;
-        Ok(out)
-    }
-
-    fn max_budget_bsearch_counted(
-        &mut self,
-        new: &NewcomerSpec,
-        cap: Time,
-        tally: &mut ProbeTally,
-        iters: &mut u64,
-    ) -> Time {
         // The search threads two buffers (seed + in-flight); both come from
         // and return to the retired-buffer pool, so repeated searches on a
         // warm cache allocate nothing.
@@ -531,10 +433,13 @@ impl RtaCache {
             scratch: std::mem::take(&mut self.spare),
         };
         warm.resp.clear();
-        let out = self.bsearch_with_warm(new, cap, &mut warm, tally, iters);
+        let out = self.bsearch_with_warm(new, cap, &mut warm, &mut tally, &mut iters);
         self.spare = warm.scratch;
         self.spare2 = warm.resp;
-        out
+        tally.flush();
+        rmts_obs::count("rta.maxsplit.bsearch_iters", iters);
+        meter.charge_iterations(tally.fixed_points())?;
+        Ok(out)
     }
 
     fn bsearch_with_warm(
@@ -566,10 +471,12 @@ impl RtaCache {
         lo
     }
 
-    /// [`Self::probe`] with cross-probe warm starts for repeated probes of
-    /// the *same* newcomer at ascending budgets (the binary-search inner
-    /// loop). Bit-identical verdicts — only the fixed-point starting values
-    /// differ, and every start stays ≤ the least fixed point it seeks.
+    /// The probe body behind [`Self::probe_remember`] (unseeded: `warm.resp`
+    /// empty) and [`Self::max_budget_bsearch`], which threads cross-probe
+    /// warm starts through repeated probes of the *same* newcomer at
+    /// ascending budgets. Seeding changes only the fixed-point starting
+    /// values, never a verdict: every start stays ≤ the least fixed point
+    /// it seeks.
     fn probe_warm(
         &self,
         new: &NewcomerSpec,
@@ -615,7 +522,10 @@ impl RtaCache {
 
         // Strictly-lower suffix. From a seed fixed point `r₁`, the demand
         // under budget `x` is `r₁ + ⌈r₁/T_new⌉·(x − x₁)`; unseeded probes
-        // re-step from the budget-free cached response instead.
+        // re-step from the budget-free cached response instead (the O(1)
+        // first demand step of `push`), which is still ≤ the new least fixed
+        // point, so overshooting the deadline decides the probe without
+        // evaluating the prefix even once.
         let mut h = 0;
         for k in suffix0..self.sorted.len() {
             let Some(prev) = self.resp[k] else {
@@ -634,7 +544,11 @@ impl RtaCache {
                 tally.hit();
                 return false;
             }
-            // O(1) confirmation for unseeded steps (see [`Self::probe`]).
+            // O(1) confirmation for unseeded steps: the step crosses no
+            // prefix period multiple (`safe`) and no newcomer period
+            // multiple, so every ceiling term in the demand is unchanged and
+            // the step is already the new least fixed point — no prefix
+            // scan at all.
             if !seeded {
                 let n_bound =
                     Time::new(new.period.ticks().saturating_mul(prev.div_ceil(new.period)));
@@ -881,12 +795,13 @@ mod tests {
     #[test]
     fn probe_matches_scratch_admission() {
         let w = [sub(1, 5, 3, 12, 12), sub(2, 7, 2, 24, 24)];
-        let cache = RtaCache::from_workload(&w);
+        let mut cache = RtaCache::from_workload(&w);
         let new = newcomer(0, 4, 4);
+        let meter = BudgetMeter::unlimited();
         for x in 0..=6 {
             assert_eq!(
-                cache.probe(&new, Time::new(x)),
-                admits_budget(&w, &new, Time::new(x)),
+                cache.probe_remember(&new, Time::new(x), &meter),
+                Ok(admits_budget(&w, &new, Time::new(x))),
                 "budget {x}"
             );
         }
@@ -898,12 +813,13 @@ mod tests {
         // evaluated; existing subtasks are untouched (the scratch path
         // behaves identically, including on pre-existing misses).
         let w = [sub(0, 0, 2, 4, 4), sub(1, 1, 3, 6, 6)]; // τ1 misses
-        let cache = RtaCache::from_workload(&w);
+        let mut cache = RtaCache::from_workload(&w);
         let new = newcomer(2, 20, 20);
+        let meter = BudgetMeter::unlimited();
         for x in 0..=8 {
             assert_eq!(
-                cache.probe(&new, Time::new(x)),
-                admits_budget(&w, &new, Time::new(x)),
+                cache.probe_remember(&new, Time::new(x), &meter),
+                Ok(admits_budget(&w, &new, Time::new(x))),
                 "budget {x}"
             );
         }
@@ -914,15 +830,73 @@ mod tests {
         let w = [sub(1, 5, 3, 12, 12), sub(2, 7, 2, 24, 24)];
         let mut cache = RtaCache::from_workload(&w);
         let new = newcomer(0, 4, 4);
+        let meter = BudgetMeter::unlimited();
         for cap in [0u64, 1, 3, 7, 100] {
             let cap = Time::new(cap);
             assert_eq!(
-                cache.max_budget_bsearch(&new, cap),
-                max_admissible_budget_bsearch(&w, &new, cap)
+                cache.max_budget_bsearch(&new, cap, &meter),
+                Ok(max_admissible_budget_bsearch(&w, &new, cap))
             );
             assert_eq!(
                 cache.max_budget_points(&new, cap),
                 max_admissible_budget(&w, &new, cap)
+            );
+        }
+    }
+
+    /// Asserts how `run` charges a meter: unlimited gives `expected`, no
+    /// probe allowance fails on probes, exactly `k` iterations (the fixed
+    /// points evaluated, counted as `rta.cache.misses`) pass and `k − 1`
+    /// fail on iterations.
+    fn assert_charges<T: PartialEq + std::fmt::Debug>(
+        expected: T,
+        run: impl Fn(&BudgetMeter) -> Result<T, AnalysisError>,
+        ctx: &str,
+    ) {
+        use rmts_taskmodel::{AnalysisBudget, BudgetResource};
+        let exhausted = |resource| Err(AnalysisError::BudgetExhausted { resource });
+        let (out, snap) = rmts_obs::record(|| run(&BudgetMeter::unlimited()));
+        let k = snap.counter("rta.cache.misses");
+        assert_eq!(out, Ok(expected), "{ctx}: unlimited");
+        assert!(k > 0, "{ctx}: evaluated no fixed point");
+        let budget = AnalysisBudget::unlimited();
+        let probeless = budget.with_max_probes(0).start();
+        assert_eq!(run(&probeless), exhausted(BudgetResource::Probes), "{ctx}");
+        let enough = budget.with_max_iterations(k).start();
+        assert_eq!(run(&enough), out, "{ctx}: {k} iterations");
+        let short = budget.with_max_iterations(k - 1).start();
+        assert_eq!(
+            run(&short),
+            exhausted(BudgetResource::Iterations),
+            "{ctx}: {} iterations",
+            k - 1
+        );
+    }
+
+    #[test]
+    fn probe_charges_one_probe_and_its_fixed_points() {
+        let w = [sub(1, 5, 3, 12, 12), sub(2, 7, 2, 24, 24)];
+        let new = newcomer(0, 4, 4);
+        for x in 0..=4 {
+            let x = Time::new(x);
+            assert_charges(
+                admits_budget(&w, &new, x),
+                |meter| RtaCache::from_workload(&w).probe_remember(&new, x, meter),
+                &format!("probe at budget {x}"),
+            );
+        }
+    }
+
+    #[test]
+    fn bsearch_charges_one_probe_and_its_fixed_points() {
+        let w = [sub(1, 5, 3, 12, 12), sub(2, 7, 2, 24, 24)];
+        let new = newcomer(0, 4, 4);
+        for cap in [0u64, 1, 3, 7, 100] {
+            let cap = Time::new(cap);
+            assert_charges(
+                max_admissible_budget_bsearch(&w, &new, cap),
+                |meter| RtaCache::from_workload(&w).max_budget_bsearch(&new, cap, meter),
+                &format!("search with cap {cap}"),
             );
         }
     }
@@ -932,7 +906,7 @@ mod tests {
         // Two subtasks at the same priority value: neither interferes with
         // the other (strict comparison), matching the scratch analyzer.
         let w = [sub(0, 3, 2, 10, 10), sub(1, 3, 2, 10, 10)];
-        let cache = RtaCache::from_workload(&w);
+        let mut cache = RtaCache::from_workload(&w);
         assert_eq!(cache.responses(), &[Some(Time::new(2)), Some(Time::new(2))]);
         assert_eq!(
             response_times(&w).unwrap(),
@@ -940,10 +914,11 @@ mod tests {
         );
         // An equal-priority newcomer probes exactly like the scratch path.
         let new = newcomer(3, 10, 10);
+        let meter = BudgetMeter::unlimited();
         for x in 0..=10 {
             assert_eq!(
-                cache.probe(&new, Time::new(x)),
-                admits_budget(&w, &new, Time::new(x))
+                cache.probe_remember(&new, Time::new(x), &meter),
+                Ok(admits_budget(&w, &new, Time::new(x)))
             );
         }
     }
@@ -952,12 +927,13 @@ mod tests {
     fn empty_cache_probes_like_empty_workload() {
         let mut cache = RtaCache::new();
         let new = newcomer(0, 10, 10);
-        assert!(cache.probe(&new, Time::new(10)));
-        assert!(!cache.probe(&new, Time::new(11)));
+        let meter = BudgetMeter::unlimited();
+        assert_eq!(cache.probe_remember(&new, Time::new(10), &meter), Ok(true));
+        assert_eq!(cache.probe_remember(&new, Time::new(11), &meter), Ok(false));
         assert_eq!(cache.max_budget_points(&new, Time::new(100)), Time::new(10));
         assert_eq!(
-            cache.max_budget_bsearch(&new, Time::new(100)),
-            Time::new(10)
+            cache.max_budget_bsearch(&new, Time::new(100), &meter),
+            Ok(Time::new(10))
         );
         assert!(cache.is_empty());
     }

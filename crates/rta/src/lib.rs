@@ -43,6 +43,15 @@
 //! let r = response_times(&workload).unwrap();
 //! assert_eq!(r, vec![Time::new(1), Time::new(3), Time::new(10)]);
 //! ```
+//!
+//! Each analysis question has one entry point. The ones a budgeted
+//! partitioning run can reach take a [`BudgetMeter`] and return
+//! `Result<_, AnalysisError>`: [`RtaCache::probe_remember`] and
+//! [`RtaCache::max_budget_bsearch`] (exact RTA, rung 1 of the degradation
+//! ladder) and [`tda_admits`] (rung 2). [`BudgetMeter::unlimited`] is the
+//! zero-cost case and never fails. The scratch analyses ([`response_time`],
+//! [`admits_budget`], [`max_admissible_budget`] and friends) take no
+//! meter: they are the references the cache is property-tested against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,17 +64,14 @@ pub mod sensitivity;
 pub mod tda;
 
 pub use budget::{
-    admits_budget_metered, max_admissible_budget, max_admissible_budget_bsearch,
-    max_admissible_budget_metered, NewcomerSpec,
+    admits_budget, max_admissible_budget, max_admissible_budget_bsearch, NewcomerSpec,
 };
 pub use cache::RtaCache;
-pub use rta::{
-    is_schedulable, is_schedulable_metered, response_time, response_time_metered, response_times,
-};
+pub use rta::{is_schedulable, response_time, response_times};
 pub use sensitivity::{scaling_factor, wcet_slack};
-pub use tda::{tda_admits_metered, tda_response_bound, tda_schedulable, tda_task_schedulable};
+pub use tda::{tda_admits, tda_response_bound, tda_schedulable, tda_task_schedulable};
 
 // The budget/error vocabulary lives in `rmts-taskmodel` (the shared base
 // crate) so `rmts-sim` can use it without depending on this crate; re-export
-// it here because analysis callers reach for it alongside the metered APIs.
+// it here because analysis callers reach for it alongside the budgeted APIs.
 pub use rmts_taskmodel::{AnalysisBudget, AnalysisError, BudgetMeter, BudgetResource};

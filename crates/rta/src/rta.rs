@@ -18,7 +18,7 @@
 //! purposes the precise divergent value is irrelevant, and this keeps the
 //! analysis pseudo-polynomial with a small constant.
 
-use rmts_taskmodel::{AnalysisError, BudgetMeter, Subtask, Time};
+use rmts_taskmodel::{Subtask, Time};
 
 /// Interference of one higher-priority interferer over a window of length
 /// `t`: `⌈t / T⌉ · C`, saturating.
@@ -53,68 +53,20 @@ pub fn fixed_point_from<I>(start: Time, c: Time, deadline: Time, hp: I) -> Optio
 where
     I: Iterator<Item = (Time, Time)> + Clone,
 {
-    match fp_core(start, c, deadline, hp, None) {
-        Ok(v) => v,
-        // Invariant: fp_core only fails through the meter, and none was given.
-        Err(_) => unreachable!("unmetered fixed point cannot exhaust a budget"),
-    }
-}
-
-/// Budget-aware variant of [`fixed_point`]: each ascending step charges one
-/// iteration against `meter`, so a capped or deadlined budget turns a long
-/// convergence into a typed [`AnalysisError`] instead of a stall.
-pub fn fixed_point_metered(
-    c: Time,
-    deadline: Time,
-    hp: &[(Time, Time)],
-    meter: &BudgetMeter,
-) -> Result<Option<Time>, AnalysisError> {
-    fp_core(c, c, deadline, hp.iter().copied(), Some(meter))
-}
-
-/// Budget-aware variant of [`fixed_point_from`] (warm start + meter).
-pub fn fixed_point_from_metered<I>(
-    start: Time,
-    c: Time,
-    deadline: Time,
-    hp: I,
-    meter: &BudgetMeter,
-) -> Result<Option<Time>, AnalysisError>
-where
-    I: Iterator<Item = (Time, Time)> + Clone,
-{
-    fp_core(start, c, deadline, hp, Some(meter))
-}
-
-/// Shared iteration core. `meter == None` is the zero-overhead exact path;
-/// with a meter, each ascent step charges one iteration.
-fn fp_core<I>(
-    start: Time,
-    c: Time,
-    deadline: Time,
-    hp: I,
-    meter: Option<&BudgetMeter>,
-) -> Result<Option<Time>, AnalysisError>
-where
-    I: Iterator<Item = (Time, Time)> + Clone,
-{
     if c > deadline {
-        return Ok(None);
+        return None;
     }
     let mut r = start.max(c);
     loop {
-        if let Some(m) = meter {
-            m.charge_iterations(1)?;
-        }
         let mut next = c;
         for (cj, tj) in hp.clone() {
             next = next.saturating_add(interference(cj, tj, r));
             if next > deadline {
-                return Ok(None);
+                return None;
             }
         }
         if next == r {
-            return Ok(Some(r));
+            return Some(r);
         }
         debug_assert!(next > r, "RTA iteration must ascend (warm start ≤ lfp)");
         r = next;
@@ -122,8 +74,9 @@ where
 }
 
 /// Streams the higher-priority `(C, T)` pairs for the subtask at `index`
-/// within `workload` — no per-call allocation.
-fn higher_priority_of(
+/// within `workload`, in workload order — no per-call allocation. The one
+/// interferer-set definition every scratch analysis in this crate uses.
+pub(crate) fn higher_priority_of(
     workload: &[Subtask],
     index: usize,
 ) -> impl Iterator<Item = (Time, Time)> + Clone + '_ {
@@ -161,36 +114,6 @@ pub fn response_times(workload: &[Subtask]) -> Option<Vec<Time>> {
 /// `Assign` (paper Algorithm 2, line 1).
 pub fn is_schedulable(workload: &[Subtask]) -> bool {
     (0..workload.len()).all(|i| response_time(workload, i).is_some())
-}
-
-/// Budget-aware [`response_time`].
-pub fn response_time_metered(
-    workload: &[Subtask],
-    index: usize,
-    meter: &BudgetMeter,
-) -> Result<Option<Time>, AnalysisError> {
-    let me = &workload[index];
-    fixed_point_from_metered(
-        me.wcet,
-        me.wcet,
-        me.deadline,
-        higher_priority_of(workload, index),
-        meter,
-    )
-}
-
-/// Budget-aware [`is_schedulable`]: `Err` means the budget ran out before
-/// the question was decided, *not* that the workload is unschedulable.
-pub fn is_schedulable_metered(
-    workload: &[Subtask],
-    meter: &BudgetMeter,
-) -> Result<bool, AnalysisError> {
-    for i in 0..workload.len() {
-        if response_time_metered(workload, i, meter)?.is_none() {
-            return Ok(false);
-        }
-    }
-    Ok(true)
 }
 
 #[cfg(test)]
@@ -330,41 +253,6 @@ mod tests {
             fixed_point_from(Time::new(5), Time::new(3), Time::new(6), hp.iter().copied()),
             None
         );
-    }
-
-    #[test]
-    fn metered_fixed_point_matches_exact_when_budget_suffices() {
-        use rmts_taskmodel::AnalysisBudget;
-        let hp = [(Time::new(1), Time::new(4)), (Time::new(2), Time::new(6))];
-        let meter = AnalysisBudget::unlimited().with_max_iterations(64).start();
-        assert_eq!(
-            fixed_point_metered(Time::new(3), Time::new(12), &hp, &meter),
-            Ok(Some(Time::new(10)))
-        );
-    }
-
-    #[test]
-    fn metered_fixed_point_reports_exhaustion() {
-        use rmts_taskmodel::{AnalysisBudget, AnalysisError, BudgetResource};
-        let hp = [(Time::new(1), Time::new(4)), (Time::new(2), Time::new(6))];
-        // The textbook iteration needs 6 steps; allow 2.
-        let meter = AnalysisBudget::unlimited().with_max_iterations(2).start();
-        assert_eq!(
-            fixed_point_metered(Time::new(3), Time::new(12), &hp, &meter),
-            Err(AnalysisError::BudgetExhausted {
-                resource: BudgetResource::Iterations
-            })
-        );
-    }
-
-    #[test]
-    fn metered_schedulability_decides_or_exhausts() {
-        use rmts_taskmodel::AnalysisBudget;
-        let w = [sub(0, 0, 1, 4), sub(1, 1, 2, 6), sub(2, 2, 3, 12)];
-        let meter = BudgetMeter::unlimited();
-        assert_eq!(is_schedulable_metered(&w, &meter), Ok(true));
-        let starved = AnalysisBudget::unlimited().with_max_iterations(0).start();
-        assert!(is_schedulable_metered(&w, &starved).is_err());
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //!   `MaxSplit` engine.
 
 use crate::budget::{max_admissible_budget, NewcomerSpec};
+use crate::rta::higher_priority_of;
 use crate::tda::{scheduling_points, time_demand};
 use rmts_taskmodel::{Subtask, Time};
 
@@ -23,12 +24,7 @@ use rmts_taskmodel::{Subtask, Time};
 pub fn scaling_factor(workload: &[Subtask]) -> f64 {
     let mut lambda = f64::INFINITY;
     for (i, me) in workload.iter().enumerate() {
-        let hp: Vec<(Time, Time)> = workload
-            .iter()
-            .enumerate()
-            .filter(|&(j, s)| j != i && s.priority.is_higher_than(me.priority))
-            .map(|(_, s)| (s.wcet, s.period))
-            .collect();
+        let hp: Vec<(Time, Time)> = higher_priority_of(workload, i).collect();
         let periods: Vec<Time> = hp.iter().map(|&(_, t)| t).collect();
         let mut best = 0.0f64;
         for t in scheduling_points(me.deadline, &periods) {

@@ -24,7 +24,7 @@
 //! computations in [`crate::budget`], which genuinely need every point,
 //! still use the materialized [`scheduling_points`] form.
 
-use crate::rta::interference;
+use crate::rta::{higher_priority_of, interference};
 use rmts_taskmodel::{AnalysisError, BudgetMeter, Subtask, Time};
 
 /// Enumerates the scheduling points for a deadline `d` and a set of
@@ -110,68 +110,11 @@ fn visit_points_ascending(
 }
 
 /// TDA test for a single "virtual task" `(c, deadline)` against
-/// higher-priority `(C_j, T_j)` interferers.
-pub fn tda_feasible(c: Time, deadline: Time, hp: &[(Time, Time)]) -> bool {
-    if c > deadline {
-        return false;
-    }
-    visit_points_ascending(deadline, hp, |t| time_demand(c, hp, t) <= t)
-}
-
-/// TDA schedulability of `workload[index]` against its synthetic deadline.
-pub fn tda_task_schedulable(workload: &[Subtask], index: usize) -> bool {
-    let me = &workload[index];
-    let hp: Vec<(Time, Time)> = workload
-        .iter()
-        .enumerate()
-        .filter(|&(j, s)| j != index && s.priority.is_higher_than(me.priority))
-        .map(|(_, s)| (s.wcet, s.period))
-        .collect();
-    tda_feasible(me.wcet, me.deadline, &hp)
-}
-
-/// TDA schedulability of the whole workload.
-pub fn tda_schedulable(workload: &[Subtask]) -> bool {
-    (0..workload.len()).all(|i| tda_task_schedulable(workload, i))
-}
-
-/// A sound upper bound on the response time of `workload[index]`, or
-/// `None` if no scheduling point `t ≤ Δ` satisfies `W(t) ≤ t` (the subtask
-/// misses its deadline). At the first such point the bound returned is
-/// `W(t)` itself, not `t`: since `W` is monotone, `W(t) ≤ t` gives
-/// `W(W(t)) ≤ W(t)`, so `W(t)` is a prefixed point and the exact response
-/// `R` (the *least* fixed point) satisfies `R ≤ W(t) ≤ t ≤ Δ`. The
-/// tightening matters downstream: the degradation ladder records this
-/// value as the body response feeding Eq. (1) synthetic deadlines, and
-/// returning `t` (often `Δ` exactly) would zero out the tail's deadline.
-pub fn tda_response_bound(workload: &[Subtask], index: usize) -> Option<Time> {
-    let me = &workload[index];
-    if me.wcet > me.deadline {
-        return None;
-    }
-    let hp: Vec<(Time, Time)> = workload
-        .iter()
-        .enumerate()
-        .filter(|&(j, s)| j != index && s.priority.is_higher_than(me.priority))
-        .map(|(_, s)| (s.wcet, s.period))
-        .collect();
-    let mut bound = None;
-    visit_points_ascending(me.deadline, &hp, |t| {
-        let w = time_demand(me.wcet, &hp, t);
-        if w <= t {
-            bound = Some(w);
-            true
-        } else {
-            false
-        }
-    });
-    bound
-}
-
-/// Budget-aware [`tda_feasible`]: charges one iteration per scheduling
-/// point evaluated, so a starved meter turns the point sweep into a typed
-/// [`AnalysisError`].
-pub fn tda_feasible_metered(
+/// higher-priority `(C_j, T_j)` interferers. Charges `meter` one iteration
+/// per scheduling point evaluated, so a starved meter turns the point sweep
+/// into a typed [`AnalysisError`]; pass [`BudgetMeter::unlimited`] for the
+/// plain exact test.
+pub fn tda_feasible(
     c: Time,
     deadline: Time,
     hp: &[(Time, Time)],
@@ -194,20 +137,46 @@ pub fn tda_feasible_metered(
     }
 }
 
-/// Budget-aware [`tda_task_schedulable`].
-pub fn tda_task_schedulable_metered(
-    workload: &[Subtask],
-    index: usize,
-    meter: &BudgetMeter,
-) -> Result<bool, AnalysisError> {
+/// TDA schedulability of `workload[index]` against its synthetic deadline
+/// (unbudgeted: the RTA↔TDA cross-check oracle).
+pub fn tda_task_schedulable(workload: &[Subtask], index: usize) -> bool {
     let me = &workload[index];
-    let hp: Vec<(Time, Time)> = workload
-        .iter()
-        .enumerate()
-        .filter(|&(j, s)| j != index && s.priority.is_higher_than(me.priority))
-        .map(|(_, s)| (s.wcet, s.period))
-        .collect();
-    tda_feasible_metered(me.wcet, me.deadline, &hp, meter)
+    let hp: Vec<(Time, Time)> = higher_priority_of(workload, index).collect();
+    // An unlimited meter never exhausts, so the sweep always decides.
+    tda_feasible(me.wcet, me.deadline, &hp, &BudgetMeter::unlimited()) == Ok(true)
+}
+
+/// TDA schedulability of the whole workload.
+pub fn tda_schedulable(workload: &[Subtask]) -> bool {
+    (0..workload.len()).all(|i| tda_task_schedulable(workload, i))
+}
+
+/// A sound upper bound on the response time of `workload[index]`, or
+/// `None` if no scheduling point `t ≤ Δ` satisfies `W(t) ≤ t` (the subtask
+/// misses its deadline). At the first such point the bound returned is
+/// `W(t)` itself, not `t`: since `W` is monotone, `W(t) ≤ t` gives
+/// `W(W(t)) ≤ W(t)`, so `W(t)` is a prefixed point and the exact response
+/// `R` (the *least* fixed point) satisfies `R ≤ W(t) ≤ t ≤ Δ`. The
+/// tightening matters downstream: the degradation ladder records this
+/// value as the body response feeding Eq. (1) synthetic deadlines, and
+/// returning `t` (often `Δ` exactly) would zero out the tail's deadline.
+pub fn tda_response_bound(workload: &[Subtask], index: usize) -> Option<Time> {
+    let me = &workload[index];
+    if me.wcet > me.deadline {
+        return None;
+    }
+    let hp: Vec<(Time, Time)> = higher_priority_of(workload, index).collect();
+    let mut bound = None;
+    visit_points_ascending(me.deadline, &hp, |t| {
+        let w = time_demand(me.wcet, &hp, t);
+        if w <= t {
+            bound = Some(w);
+            true
+        } else {
+            false
+        }
+    });
+    bound
 }
 
 /// TDA admission probe: would `workload ∪ {newcomer}` stay schedulable?
@@ -216,7 +185,7 @@ pub fn tda_task_schedulable_metered(
 /// the degradation ladder's second rung — the same exact criterion as RTA,
 /// implemented independently, with its own budget accounting: one probe
 /// charge per call, one iteration charge per scheduling point.
-pub fn tda_admits_metered(
+pub fn tda_admits(
     workload: &[Subtask],
     newcomer: &Subtask,
     meter: &BudgetMeter,
@@ -232,17 +201,11 @@ pub fn tda_admits_metered(
             continue; // the newcomer cannot preempt it — unaffected
         }
         hp.clear();
-        hp.extend(
-            workload
-                .iter()
-                .enumerate()
-                .filter(|&(j, s)| j != i && s.priority.is_higher_than(me.priority))
-                .map(|(_, s)| (s.wcet, s.period)),
-        );
+        hp.extend(higher_priority_of(workload, i));
         if newcomer.priority.is_higher_than(me.priority) {
             hp.push((newcomer.wcet, newcomer.period));
         }
-        if !tda_feasible_metered(me.wcet, me.deadline, &hp, meter)? {
+        if !tda_feasible(me.wcet, me.deadline, &hp, meter)? {
             return Ok(false);
         }
     }
@@ -253,7 +216,7 @@ pub fn tda_admits_metered(
             .filter(|s| s.priority.is_higher_than(newcomer.priority))
             .map(|s| (s.wcet, s.period)),
     );
-    tda_feasible_metered(newcomer.wcet, newcomer.deadline, &hp, meter)
+    tda_feasible(newcomer.wcet, newcomer.deadline, &hp, meter)
 }
 
 #[cfg(test)]
@@ -306,8 +269,15 @@ mod tests {
     fn boundary_demand_equal_t() {
         // Demand exactly meets supply at a scheduling point.
         let hp = [(Time::new(2), Time::new(4))];
-        assert!(tda_feasible(Time::new(2), Time::new(4), &hp));
-        assert!(!tda_feasible(Time::new(3), Time::new(4), &hp));
+        let meter = BudgetMeter::unlimited();
+        assert_eq!(
+            tda_feasible(Time::new(2), Time::new(4), &hp, &meter),
+            Ok(true)
+        );
+        assert_eq!(
+            tda_feasible(Time::new(3), Time::new(4), &hp, &meter),
+            Ok(false)
+        );
     }
 
     #[test]
@@ -316,11 +286,11 @@ mod tests {
         let w = [sub(0, 0, 1, 4, 4), sub(1, 1, 2, 6, 6)];
         let newcomer = sub(2, 2, 3, 12, 12);
         let meter = BudgetMeter::unlimited();
-        assert_eq!(tda_admits_metered(&w, &newcomer, &meter), Ok(true));
+        assert_eq!(tda_admits(&w, &newcomer, &meter), Ok(true));
         let starved = AnalysisBudget::unlimited().with_max_iterations(0).start();
-        assert!(tda_admits_metered(&w, &newcomer, &starved).is_err());
+        assert!(tda_admits(&w, &newcomer, &starved).is_err());
         let probeless = AnalysisBudget::unlimited().with_max_probes(0).start();
-        assert!(tda_admits_metered(&w, &newcomer, &probeless).is_err());
+        assert!(tda_admits(&w, &newcomer, &probeless).is_err());
     }
 
     #[test]
@@ -342,7 +312,7 @@ mod tests {
         let w = [sub(0, 0, 2, 4, 4)];
         let newcomer = sub(1, 1, 3, 6, 6);
         let meter = BudgetMeter::unlimited();
-        assert_eq!(tda_admits_metered(&w, &newcomer, &meter), Ok(false));
+        assert_eq!(tda_admits(&w, &newcomer, &meter), Ok(false));
     }
 
     proptest! {

@@ -2,11 +2,13 @@
 //! *bit-identical* decisions to the scratch analyses it replaces.
 //!
 //! The cache's claims are (a) cached response times equal a full
-//! [`response_time`] recomputation over the same workload, (b) [`RtaCache::probe`]
-//! equals [`admits_budget`], (c) both cached `MaxSplit` variants equal their
-//! scratch counterparts, and (d) incremental maintenance (a sequence of
-//! pushes interleaved with probes) never diverges from a cache rebuilt from
-//! the accumulated workload. Workload generation deliberately produces
+//! [`response_time`] recomputation over the same workload, (b)
+//! [`RtaCache::probe_remember`] equals [`admits_budget`], (c) both cached
+//! `MaxSplit` variants equal their scratch counterparts, and (d) incremental
+//! maintenance (a sequence of probes, each accept pushed through the probe's
+//! memoized fixed points) never diverges from a cache rebuilt from the
+//! accumulated workload. Probes and searches run under an unlimited
+//! [`BudgetMeter`], the production entry points' zero-cost case. Workload generation deliberately produces
 //! overloaded processors too, so the "misses are sticky" path (a cached
 //! `None` response) is exercised alongside the schedulable common case.
 
@@ -16,7 +18,7 @@ use rmts_rta::budget::{
 };
 use rmts_rta::rta::{is_schedulable, response_time};
 use rmts_rta::RtaCache;
-use rmts_taskmodel::{Priority, Subtask, SubtaskKind, TaskId, Time};
+use rmts_taskmodel::{BudgetMeter, Priority, Subtask, SubtaskKind, TaskId, Time};
 
 fn sub(id: u32, prio: u32, c: u64, t: u64, d: u64) -> Subtask {
     Subtask {
@@ -75,7 +77,7 @@ proptest! {
         prop_assert_eq!(cache.is_schedulable(), is_schedulable(&w));
     }
 
-    /// `probe` answers exactly as the scratch whole-workload re-analysis
+    /// `probe_remember` answers exactly as the scratch whole-workload re-analysis
     /// `admits_budget`, across random budgets — including budgets past the
     /// deadline and workloads with pre-existing misses.
     #[test]
@@ -87,12 +89,13 @@ proptest! {
     ) {
         let w = build(&raw);
         let new = newcomer(new_prio, 3 * new_t_mul + 2);
-        let cache = RtaCache::from_workload(&w);
+        let mut cache = RtaCache::from_workload(&w);
+        let meter = BudgetMeter::unlimited();
         for &x in &budgets {
             let x = Time::new(x);
             prop_assert_eq!(
-                cache.probe(&new, x),
-                admits_budget(&w, &new, x),
+                cache.probe_remember(&new, x, &meter),
+                Ok(admits_budget(&w, &new, x)),
                 "budget {:?} newcomer {:?} workload {:?}", x, new, w
             );
         }
@@ -113,8 +116,8 @@ proptest! {
         let cap = Time::new(cap);
         let mut cache = RtaCache::from_workload(&w);
         prop_assert_eq!(
-            cache.max_budget_bsearch(&new, cap),
-            max_admissible_budget_bsearch(&w, &new, cap)
+            cache.max_budget_bsearch(&new, cap, &BudgetMeter::unlimited()),
+            Ok(max_admissible_budget_bsearch(&w, &new, cap))
         );
         prop_assert_eq!(
             cache.max_budget_points(&new, cap),
@@ -133,6 +136,7 @@ proptest! {
         let candidates = build(&raw);
         let mut cache = RtaCache::new();
         let mut accepted: Vec<Subtask> = Vec::new();
+        let meter = BudgetMeter::unlimited();
         for s in candidates {
             let spec = NewcomerSpec {
                 parent: s.parent,
@@ -140,9 +144,9 @@ proptest! {
                 deadline: s.deadline,
                 priority: s.priority,
             };
-            let verdict = cache.probe(&spec, s.wcet);
-            prop_assert_eq!(verdict, admits_budget(&accepted, &spec, s.wcet));
-            if verdict {
+            let verdict = cache.probe_remember(&spec, s.wcet, &meter);
+            prop_assert_eq!(verdict, Ok(admits_budget(&accepted, &spec, s.wcet)));
+            if verdict == Ok(true) {
                 cache.push(s);
                 accepted.push(s);
             }

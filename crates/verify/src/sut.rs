@@ -182,16 +182,16 @@ impl SystemUnderTest {
     pub fn cache_pair(self) -> Option<(Box<dyn Partitioner>, Box<dyn Partitioner>)> {
         match self {
             SystemUnderTest::RmTs => Some((
-                Box::new(RmTs::new().with_policy(AdmissionPolicy::exact().cached())),
+                Box::new(RmTs::new().with_policy(AdmissionPolicy::exact())),
                 Box::new(RmTs::new().with_policy(AdmissionPolicy::exact().uncached())),
             )),
             SystemUnderTest::RmTsLight => Some((
-                Box::new(RmTsLight::new().with_policy(AdmissionPolicy::exact().cached())),
+                Box::new(RmTsLight::new().with_policy(AdmissionPolicy::exact())),
                 Box::new(RmTsLight::new().with_policy(AdmissionPolicy::exact().uncached())),
             )),
-            // No exact pair to compare: threshold admission, or metered
-            // ladder paths whose cached/uncached equivalence is covered by
-            // the rmts-rta property tests instead.
+            // No exact pair to compare: threshold admission, or budgeted
+            // ladder runs, whose exact admission always meters through the
+            // cache whatever the `cached` flag says.
             SystemUnderTest::PartitionedRm
             | SystemUnderTest::Spec(_)
             | SystemUnderTest::WeakenedAdmission

@@ -9,6 +9,11 @@
 //! by both whole-task placement and tail splitting. Any drift — a stale
 //! response, a wrongly warm-started fixed point, a missed invalidation —
 //! shows up as a structurally different partition.
+//!
+//! The comparison also runs under finite analysis budgets, with and
+//! without the degradation ladder: a budgeted answer must not depend on
+//! the `cached` flag (exact admission then meters through the cache on
+//! both sides, so exhaustion lands on the same probe).
 
 use proptest::prelude::*;
 use rmts::core::admission::AdmissionPolicy;
@@ -85,50 +90,82 @@ fn policy_pair(strategy: MaxSplitStrategy) -> (AdmissionPolicy, AdmissionPolicy)
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// The budget axis: unlimited, then iteration and probe caps from starved
+/// to nearly ample. Wall-clock deadlines are left out because their
+/// exhaustion point is not reproducible.
+fn budgets() -> [AnalysisBudget; 7] {
+    let b = AnalysisBudget::unlimited();
+    [
+        b,
+        b.with_max_iterations(0),
+        b.with_max_iterations(3),
+        b.with_max_iterations(20),
+        b.with_max_iterations(200),
+        b.with_max_probes(2),
+        b.with_max_probes(10),
+    ]
+}
 
-    /// RM-TS/light: cached and scratch admission yield identical outcomes —
-    /// same accept/reject verdict, and bit-identical partitions (processor
-    /// workloads, recorded responses via synthetic deadlines, split plans).
-    #[test]
-    fn rmts_light_cached_equals_scratch((ts, m) in arb_instance()) {
-        for strategy in [MaxSplitStrategy::BinarySearch, MaxSplitStrategy::SchedulingPoints] {
-            let (cached, scratch) = policy_pair(strategy);
-            let a = RmTsLight::new().with_policy(cached).partition(&ts, m);
-            let b = RmTsLight::new().with_policy(scratch).partition(&ts, m);
-            match (a, b) {
-                (Ok(pa), Ok(pb)) => prop_assert_eq!(pa, pb, "{:?}: partitions differ", strategy),
-                (Err(fa), Err(fb)) => {
-                    prop_assert_eq!(&fa.unassigned, &fb.unassigned, "{:?}", strategy);
-                    prop_assert_eq!(&fa.partial, &fb.partial, "{:?}", strategy);
+/// Cached and scratch admission yield identical outcomes for every
+/// strategy × budget × degrade combination: same accept/reject verdict,
+/// bit-identical partitions (processor workloads, recorded responses via
+/// synthetic deadlines, split plans, exactness) and, on a reject, the same
+/// unassigned tasks, partial partition and budget diagnosis.
+fn assert_cached_equals_scratch<E: Configure + Partitioner>(
+    engine: fn() -> E,
+    ts: &TaskSet,
+    m: usize,
+) -> Result<(), TestCaseError> {
+    for strategy in [
+        MaxSplitStrategy::BinarySearch,
+        MaxSplitStrategy::SchedulingPoints,
+    ] {
+        let (cached, scratch) = policy_pair(strategy);
+        for budget in budgets() {
+            for degrade in [false, true] {
+                let ctx = format!("{strategy:?}, {budget:?}, degrade {degrade}");
+                let run = |policy| {
+                    engine()
+                        .with_policy(policy)
+                        .with_budget(budget)
+                        .with_degrade(degrade)
+                        .partition(ts, m)
+                };
+                match (run(cached), run(scratch)) {
+                    (Ok(pa), Ok(pb)) => prop_assert_eq!(pa, pb, "{}: partitions differ", ctx),
+                    (Err(fa), Err(fb)) => {
+                        prop_assert_eq!(&fa.unassigned, &fb.unassigned, "{}", ctx);
+                        prop_assert_eq!(&fa.partial, &fb.partial, "{}", ctx);
+                        prop_assert_eq!(&fa.analysis, &fb.analysis, "{}", ctx);
+                    }
+                    (a, b) => prop_assert!(
+                        false,
+                        "{}: verdicts differ (cached ok={}, scratch ok={})",
+                        ctx,
+                        a.is_ok(),
+                        b.is_ok()
+                    ),
                 }
-                (a, b) => prop_assert!(false,
-                    "{:?}: verdicts differ (cached ok={}, scratch ok={})",
-                    strategy, a.is_ok(), b.is_ok()),
             }
         }
     }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// RM-TS/light: cached ≡ scratch under every budget.
+    #[test]
+    fn rmts_light_cached_equals_scratch((ts, m) in arb_instance()) {
+        assert_cached_equals_scratch(RmTsLight::new, &ts, m)?;
+    }
 
     /// RM-TS (the parametric-bound algorithm, with pre-assignment and
-    /// dedicated processors): cached ≡ scratch, both strategies.
+    /// dedicated processors): cached ≡ scratch under every budget.
     #[test]
     fn rmts_cached_equals_scratch((ts, m) in arb_instance()) {
-        for strategy in [MaxSplitStrategy::BinarySearch, MaxSplitStrategy::SchedulingPoints] {
-            let (cached, scratch) = policy_pair(strategy);
-            let a = RmTs::new().with_policy(cached).partition(&ts, m);
-            let b = RmTs::new().with_policy(scratch).partition(&ts, m);
-            match (a, b) {
-                (Ok(pa), Ok(pb)) => prop_assert_eq!(pa, pb, "{:?}: partitions differ", strategy),
-                (Err(fa), Err(fb)) => {
-                    prop_assert_eq!(&fa.unassigned, &fb.unassigned, "{:?}", strategy);
-                    prop_assert_eq!(&fa.partial, &fb.partial, "{:?}", strategy);
-                }
-                (a, b) => prop_assert!(false,
-                    "{:?}: verdicts differ (cached ok={}, scratch ok={})",
-                    strategy, a.is_ok(), b.is_ok()),
-            }
-        }
+        assert_cached_equals_scratch(RmTs::new, &ts, m)?;
     }
 
     /// The strict-partitioning baseline also routes its RTA admission

@@ -18,7 +18,8 @@
 //! admission loop, where the per-probe work lives.
 
 use rmts::core::{
-    AdmissionPolicy, MaxSplitStrategy, PartitionWorkspace, Partitioner, ProcessorState, RmTsLight,
+    AdmissionPolicy, AnalysisControl, MaxSplitStrategy, PartitionWorkspace, Partitioner,
+    ProcessorState, RmTsLight,
 };
 use rmts::obs::alloc::thread_allocations;
 use rmts::rta::budget::NewcomerSpec;
@@ -39,6 +40,7 @@ fn newcomer(i: u32, period: u64) -> NewcomerSpec {
 /// One steady-state cycle: recycle the processor, admit a handful of tasks
 /// through the cached probe → push path, then answer one `MaxSplit` query.
 fn admission_cycle(policy: &AdmissionPolicy, proc: &mut ProcessorState) {
+    let ctl = AnalysisControl::unlimited();
     proc.reset(0);
     for &(i, t, c) in &[
         (1u32, 8u64, 2u64),
@@ -49,11 +51,14 @@ fn admission_cycle(policy: &AdmissionPolicy, proc: &mut ProcessorState) {
     ] {
         let new = newcomer(i, t);
         let budget = Time::new(c);
-        assert!(policy.fits_whole(proc, &new, budget), "task {i} must admit");
+        assert!(
+            policy.fits_whole(proc, &new, budget, &ctl).unwrap(),
+            "task {i} must admit"
+        );
         proc.push(new.with_budget(budget, 1, SubtaskKind::Whole));
     }
     let tail = newcomer(6, 40);
-    let split = policy.max_budget(proc, &tail, Time::new(40));
+    let split = policy.max_budget(proc, &tail, Time::new(40), &ctl).unwrap();
     assert!(
         split > Time::ZERO,
         "the tail task must get a nonzero budget"
