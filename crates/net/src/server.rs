@@ -15,7 +15,7 @@ use crate::framing::{ErrorKind, ErrorRecord, LineEvent, LineReader};
 use crate::limiter::TokenBucket;
 use crate::shed::{Admission, PressureGauge, ShedPolicy};
 use rmts_svc::{
-    render_stream_responses, DurabilityConfig, RecoveryReport, RestoreReport, Service,
+    render_stream_responses, DurabilityConfig, RecordReport, RecoveryReport, Service,
     ServiceConfig, ServiceStats, Ticket,
 };
 use std::collections::HashMap;
@@ -232,7 +232,7 @@ pub struct Server {
     addr: SocketAddr,
     svc: Arc<Service>,
     stats: Arc<NetStats>,
-    restore: RestoreReport,
+    restore: RecordReport,
     recovery: Option<RecoveryReport>,
     snapshot: Option<PathBuf>,
     stopping: Arc<AtomicBool>,
@@ -254,7 +254,7 @@ impl Server {
                 let (svc, report) = Service::with_restored(cfg.service, path);
                 (svc, report, None)
             }
-            (None, None) => (Service::new(cfg.service), RestoreReport::default(), None),
+            (None, None) => (Service::new(cfg.service), RecordReport::default(), None),
         };
         let svc = Arc::new(svc);
         let shed = cfg.shed.unwrap_or_else(|| {
@@ -304,7 +304,7 @@ impl Server {
     }
 
     /// What the snapshot restore found at startup.
-    pub fn restore_report(&self) -> &RestoreReport {
+    pub fn restore_report(&self) -> &RecordReport {
         &self.restore
     }
 

@@ -15,6 +15,7 @@
 //! key — the FNV-1a hash is used only for shard routing, so a hash
 //! collision can never conflate two different task sets.
 
+use crate::record::{self, FNV_OFFSET};
 use rmts_taskmodel::time::gcd;
 use rmts_taskmodel::{ModelError, TaskSet};
 
@@ -219,18 +220,9 @@ fn collective_gcd(pairs: impl IntoIterator<Item = (u64, u64)>) -> u64 {
 /// FNV-1a over the little-endian bytes of each pair. Crate-visible so
 /// restored memo entries can recompute their routing hash.
 pub(crate) fn fnv1a(pairs: &[(u64, u64)]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for &(c, t) in pairs {
-        eat(c);
-        eat(t);
-    }
-    h
+    pairs.iter().fold(FNV_OFFSET, |h, &(c, t)| {
+        record::fnv1a(record::fnv1a(h, &c.to_le_bytes()), &t.to_le_bytes())
+    })
 }
 
 #[cfg(test)]
@@ -319,6 +311,17 @@ mod tests {
                 "set {i}"
             );
         }
+    }
+
+    #[test]
+    fn routing_hash_is_pinned() {
+        // The hash is on the wire (`canonical_hash`) and picks the shard a
+        // restored memo entry lands on; it must never drift.
+        let raw = [(4, 16), (1, 4), (2, 8)];
+        assert_eq!(CanonicalSet::of_pairs(&raw).hash(), 0x48c7_3df1_29eb_cabe);
+        let mut batch = CanonicalBatch::default();
+        batch.push(&raw);
+        assert_eq!(batch.hash(0), 0x48c7_3df1_29eb_cabe);
     }
 
     #[test]

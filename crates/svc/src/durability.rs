@@ -4,7 +4,7 @@
 //! A durable [`Service`](crate::Service) keeps two files per
 //! **generation** `g` in its durability directory:
 //!
-//! * `memo.g{g}.snap` — the memo store, in the `RMTSMEM1` snapshot format;
+//! * `memo.g{g}.snap` — the memo snapshot (`RMTSMEM1`);
 //! * `journal.g{g}.log` — the session journal (`RMTSJRN1`), whose prefix
 //!   is the checkpoint *compaction*: for every session live at the
 //!   checkpoint, its original `Open` plus every committed delta, in order.
@@ -12,15 +12,18 @@
 //!
 //! ## Checkpoint rule
 //!
-//! A checkpoint is a stop-the-world barrier: a `Job::Checkpoint` rides
-//! every shard's FIFO, so it observes every previously accepted operation;
-//! each shard sends its export and then *pauses* until the checkpointer
-//! finishes. With all shards paused no operation can commit, so generation
-//! `g+1` is a consistent cut — no per-op sequence numbers needed. The new
-//! memo snapshot and compacted journal are written atomically, the live
-//! append handle is swapped to the new journal, and older generations are
-//! deleted. Closed sessions and rejected deltas simply vanish at
-//! compaction — that is the journal truncation.
+//! A checkpoint is a stop-the-world barrier: an export job with a resume
+//! receiver rides every shard's FIFO, so it observes every previously
+//! accepted operation; each shard sends its export and then *pauses*
+//! until the checkpointer finishes. With all shards paused no operation
+//! can commit, so generation `g+1` is a consistent cut — no per-op
+//! sequence numbers needed. The new memo snapshot and compacted journal
+//! are written atomically, the live append handle is swapped to the new
+//! journal, and older generations are deleted, together with any
+//! checkpoint temp file a kill mid-write left behind. Closed sessions and
+//! rejected deltas simply vanish at compaction — that is the journal
+//! truncation. Graceful shutdown drains through the same export job
+//! without the pause, then writes a final generation.
 //!
 //! ## Recovery rule
 //!
@@ -32,10 +35,11 @@
 //! state loses **nothing acknowledged**, because every committed op was
 //! journaled write-ahead.
 
-use crate::journal::{self, JournalOp, JournalReport, JournalWriter};
+use crate::journal::{self, JournalOp, JournalWriter};
 use crate::queue::BoundedQueue;
-use crate::shard::{Job, SessionState};
-use crate::snapshot::{self, RestoreReport};
+use crate::record::{fnv1a, RecordReport, FNV_OFFSET};
+use crate::shard::{Job, SessionState, ShardExport};
+use crate::snapshot;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,9 +89,9 @@ pub struct RecoveryReport {
     /// The generation recovery resumed at (0 on first boot).
     pub generation: u64,
     /// Memo snapshot restore outcome.
-    pub memo: RestoreReport,
+    pub memo: RecordReport,
     /// Journal read outcome.
-    pub journal: JournalReport,
+    pub journal: RecordReport,
     /// Journal operations replayed through the session machinery.
     pub ops_replayed: usize,
     /// Sessions live again after replay.
@@ -226,49 +230,68 @@ pub(crate) fn journal_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("journal.g{generation}.log"))
 }
 
-/// Generation numbers present in `dir` for files shaped
-/// `{prefix}{N}{suffix}`, ascending.
-fn scan_generations(dir: &Path, prefix: &str, suffix: &str) -> Vec<u64> {
-    let mut gens = Vec::new();
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return gens;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(mid) = name
-            .strip_prefix(prefix)
-            .and_then(|rest| rest.strip_suffix(suffix))
-        {
-            if let Ok(g) = mid.parse::<u64>() {
-                gens.push(g);
-            }
-        }
+/// A file of the durability directory, by name: a generation's memo
+/// snapshot or journal, or a checkpoint temp file
+/// (`{memo,journal}.g{N}.tmp.{pid}`, left behind when a kill lands
+/// between the temp write and its rename).
+enum GenFile {
+    Memo(u64),
+    Journal(u64),
+    Temp,
+}
+
+fn gen_file(name: &str) -> Option<GenFile> {
+    let (stem, rest) = name.split_once(".g")?;
+    let (generation, ext) = rest.split_once('.')?;
+    let generation = generation.parse().ok()?;
+    match (stem, ext) {
+        ("memo", "snap") => Some(GenFile::Memo(generation)),
+        ("journal", "log") => Some(GenFile::Journal(generation)),
+        ("memo" | "journal", ext) if ext.starts_with("tmp.") => Some(GenFile::Temp),
+        _ => None,
     }
-    gens.sort_unstable();
-    gens
+}
+
+/// Every durability file in `dir` with its path.
+fn gen_files(dir: &Path) -> Vec<(PathBuf, GenFile)> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    entries
+        .flatten()
+        .filter_map(|entry| {
+            let file = gen_file(entry.file_name().to_str()?)?;
+            Some((entry.path(), file))
+        })
+        .collect()
 }
 
 /// `(newest memo generation, newest journal generation)` present in `dir`.
 pub(crate) fn newest_generations(dir: &Path) -> (Option<u64>, Option<u64>) {
-    let memo = scan_generations(dir, "memo.g", ".snap").pop();
-    let journal = scan_generations(dir, "journal.g", ".log").pop();
+    let (mut memo, mut journal) = (None, None);
+    for (_, file) in gen_files(dir) {
+        match file {
+            GenFile::Memo(g) => memo = memo.max(Some(g)),
+            GenFile::Journal(g) => journal = journal.max(Some(g)),
+            GenFile::Temp => {}
+        }
+    }
     (memo, journal)
 }
 
 /// Best-effort removal of every generation file strictly older than
-/// `keep` (crash stragglers included — they get another chance next
-/// checkpoint).
-fn remove_older_generations(dir: &Path, keep: u64) {
-    for g in scan_generations(dir, "memo.g", ".snap") {
-        if g < keep {
-            let _ = std::fs::remove_file(memo_path(dir, g));
+/// `keep` and of every checkpoint temp file (crash stragglers included —
+/// they get another chance next checkpoint). Only safe once generation
+/// `keep` is renamed into place, under the checkpoint lock: no temp file
+/// is then in flight.
+fn remove_stale_files(dir: &Path, keep: u64) {
+    for (path, file) in gen_files(dir) {
+        if let GenFile::Memo(g) | GenFile::Journal(g) = file {
+            if g >= keep {
+                continue;
+            }
         }
-    }
-    for g in scan_generations(dir, "journal.g", ".log") {
-        if g < keep {
-            let _ = std::fs::remove_file(journal_path(dir, g));
-        }
+        let _ = std::fs::remove_file(path);
     }
 }
 
@@ -293,44 +316,62 @@ pub(crate) fn compaction_ops(sessions: &[SessionState]) -> Vec<JournalOp> {
 
 /// FNV-1a fold of the fleet's per-session digests, in name order.
 pub(crate) fn fold_digests(sessions: &[SessionState]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for s in sessions {
-        for b in s.name.bytes().chain(s.digest.to_le_bytes()) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    sessions.iter().fold(FNV_OFFSET, |h, s| {
+        fnv1a(fnv1a(h, s.name.as_bytes()), &s.digest.to_le_bytes())
+    })
 }
 
-/// Writes generation `generation` (memo snapshot, then compacted journal,
-/// both atomic), swaps the live journal handle onto the new file, resets
-/// the mutation counter, and deletes older generations. Caller must hold
-/// the checkpoint lock and guarantee the fleet is quiescent (shards
-/// paused, or drained and joined).
+/// Merges the shards' exports into one cut, sorted so that the files
+/// written from it do not depend on the shard count. `None` when there is
+/// nothing to merge: a shard dropped its export job unanswered (its
+/// worker raced shutdown), or no shard got one (the fleet was already
+/// drained).
+pub(crate) fn merge(exports: Vec<mpsc::Receiver<ShardExport>>) -> Option<ShardExport> {
+    if exports.is_empty() {
+        return None;
+    }
+    let mut cut = ShardExport {
+        memo: Vec::new(),
+        sessions: Vec::new(),
+    };
+    for rx in exports {
+        let export = rx.recv().ok()?;
+        cut.memo.extend(export.memo);
+        cut.sessions.extend(export.sessions);
+    }
+    cut.memo
+        .sort_by(|a, b| (&a.pairs, a.m, &a.engine).cmp(&(&b.pairs, b.m, &b.engine)));
+    cut.sessions.sort_by(|a, b| a.name.cmp(&b.name));
+    Some(cut)
+}
+
+/// Writes the next generation from `cut` (memo snapshot, then compacted
+/// journal, both atomic), swaps the live journal handle onto the new
+/// file, resets the mutation counter, and deletes older generations and
+/// orphaned temp files. Caller must hold the checkpoint lock and
+/// guarantee the fleet is quiescent (shards paused, or drained and
+/// joined).
 pub(crate) fn write_generation(
     dur: &DurabilityState,
-    generation: u64,
-    memo: &[snapshot::MemoEntry],
-    sessions: &[SessionState],
+    cut: &ShardExport,
 ) -> io::Result<CheckpointReport> {
-    snapshot::write_snapshot(&memo_path(&dur.dir, generation), memo)?;
+    let generation = dur.generation.load(Ordering::Relaxed) + 1;
+    snapshot::write_snapshot(&memo_path(&dur.dir, generation), &cut.memo)?;
     let jpath = journal_path(&dur.dir, generation);
-    let fp = snapshot::engine_fingerprint();
-    let ops = compaction_ops(sessions);
-    let journal_bytes = journal::write_journal(&jpath, &fp, &ops)?;
+    let ops = compaction_ops(&cut.sessions);
+    let journal_bytes = journal::write_journal(&jpath, &snapshot::engine_fingerprint(), &ops)?;
     let writer = JournalWriter::open_end(&jpath)?;
     *dur.journal.lock().expect("journal writer poisoned") = writer;
     dur.generation.store(generation, Ordering::Relaxed);
     dur.mutations.store(0, Ordering::Relaxed);
     dur.checkpoints.fetch_add(1, Ordering::Relaxed);
-    remove_older_generations(&dur.dir, generation);
+    remove_stale_files(&dur.dir, generation);
     Ok(CheckpointReport {
         generation,
-        memo_entries: memo.len(),
-        sessions: sessions.len(),
+        memo_entries: cut.memo.len(),
+        sessions: cut.sessions.len(),
         journal_bytes,
-        sessions_digest: fold_digests(sessions),
+        sessions_digest: fold_digests(&cut.sessions),
     })
 }
 
@@ -349,38 +390,27 @@ pub(crate) fn run_checkpoint(
     // `resumes` holds every paused shard's wake-up sender; dropping it —
     // on *any* exit path, including errors — resumes the fleet.
     let mut resumes = Vec::with_capacity(queues.len());
-    let mut pending = Vec::with_capacity(queues.len());
+    let mut exports = Vec::with_capacity(queues.len());
     for q in queues {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let (resume_tx, resume_rx) = mpsc::channel();
-        if q.push(Job::Checkpoint {
-            reply: reply_tx,
-            resume: resume_rx,
+        let (reply, export) = mpsc::channel();
+        let (resume_tx, resume) = mpsc::channel();
+        if q.push(Job::Export {
+            reply,
+            resume: Some(resume),
         })
         .is_err()
         {
             return Ok(None); // shutting down; drop(resumes) unpauses
         }
         resumes.push(resume_tx);
-        pending.push(reply_rx);
+        exports.push(export);
     }
-    let mut memo = Vec::new();
-    let mut sessions = Vec::new();
-    for rx in pending {
-        match rx.recv() {
-            Ok(export) => {
-                memo.extend(export.memo);
-                sessions.extend(export.sessions);
-            }
-            Err(_) => return Ok(None), // worker raced shutdown
-        }
-    }
+    let Some(cut) = merge(exports) else {
+        return Ok(None); // a worker raced shutdown
+    };
     // Every shard is paused now: no op can commit, no journal append can
     // land — the cut is consistent.
-    memo.sort_by(|a, b| (&a.pairs, a.m, &a.engine).cmp(&(&b.pairs, b.m, &b.engine)));
-    sessions.sort_by(|a, b| a.name.cmp(&b.name));
-    let generation = dur.generation.load(Ordering::Relaxed) + 1;
-    let report = write_generation(dur, generation, &memo, &sessions)?;
+    let report = write_generation(dur, &cut)?;
     drop(resumes);
     Ok(Some(report))
 }

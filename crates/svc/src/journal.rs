@@ -1,7 +1,7 @@
 //! Write-ahead session journal: crash durability for live sessions.
 //!
 //! Memo snapshots ([`crate::snapshot`]) make the *memo* durable, but only
-//! at graceful shutdown; a crash still loses every live
+//! at checkpoints; a crash still loses every live
 //! [`PartitionSession`](rmts_core::PartitionSession). This module closes
 //! that gap: every **committed** session mutation (`Open`, a non-noop
 //! `Delta`, `Close`, and panic teardowns) is appended to an on-disk
@@ -10,41 +10,26 @@
 //! the journal through the ordinary session machinery rebuilds every
 //! acknowledged session exactly — state digests and all.
 //!
-//! ## File format (all integers little-endian)
+//! The file is a [record file](crate::record) with magic `RMTSJRN1`: the
+//! header, the record framing, the verified-prefix trust policy and the
+//! atomic checkpoint write live there. Each record's payload is one
+//! [`JournalOp`] as JSON (utf-8).
 //!
-//! The framing discipline is identical to the memo snapshot (`RMTSMEM1`):
-//!
-//! ```text
-//! header:
-//!   magic        8  bytes   b"RMTSJRN1"
-//!   fp_len       u32        length of the build fingerprint
-//!   fingerprint  fp_len     engine build fingerprint (utf-8)
-//! record (repeated until EOF):
-//!   payload_len  u32        length of the payload that follows the checksum
-//!   checksum     u64        FNV-1a over the payload bytes
-//!   payload      payload_len  one JournalOp as JSON (utf-8)
-//! ```
-//!
-//! ## Trust policy
-//!
-//! Same verified-prefix discipline as the snapshot: wrong magic or build
-//! fingerprint → **stale**, the whole file is ignored (session state is
-//! not portable across engine builds); a truncated record, failing
-//! checksum, or unparsable payload → **corrupt**, replay stops at the last
-//! good record and [`JournalReport::valid_bytes`] marks the boundary so
-//! the writer can truncate the torn tail before appending again. A torn
-//! record can lose at most the operations that were never acknowledged —
-//! an acknowledged op was `write(2)`-complete before its response line
-//! existed, so it survives any *process* crash (the bytes live in the
-//! kernel page cache; machine-crash durability would add an fsync per
-//! append, which this service deliberately does not pay).
+//! A read stops at the first damaged record, and
+//! [`RecordReport::valid_bytes`] marks the boundary, so
+//! [`JournalWriter::resume`] truncates the torn tail before appending
+//! again. A torn record can lose at most the operations that were never
+//! acknowledged — an acknowledged op was `write(2)`-complete before its
+//! response line existed, so it survives any *process* crash (the bytes
+//! live in the kernel page cache; machine-crash durability would add an
+//! fsync per append, which this service deliberately does not pay).
 
+use crate::record::{self, RecordReport};
 use crate::request::AnalyzeRequest;
-use crate::snapshot::{self, Cursor};
 use rmts_taskmodel::TaskSetDelta;
 use serde::{Deserialize, Serialize};
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{self, Write};
 use std::path::Path;
 
 /// Leading magic of a session journal file (the `1` is the format version).
@@ -90,51 +75,18 @@ impl JournalOp {
     }
 }
 
-/// What reading a journal found. Mirrors
-/// [`RestoreReport`](crate::snapshot::RestoreReport) for the memo
-/// snapshot, plus the verified-prefix length the writer resumes at.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JournalReport {
-    /// Operations in the verified prefix.
-    pub records: usize,
-    /// No journal file existed (first boot) — a clean cold start.
-    pub missing: bool,
-    /// The file's build fingerprint (or magic) did not match this engine:
-    /// the whole journal was ignored.
-    pub stale: bool,
-    /// A truncated or checksum-failing record stopped the read early;
-    /// operations before the damage were kept.
-    pub corrupt: bool,
-    /// Byte length of the verified prefix (header + intact records). The
-    /// writer truncates to this before appending, so a torn tail can never
-    /// corrupt later records.
-    pub valid_bytes: usize,
-}
-
-/// Serializes the journal header for `fingerprint`.
-pub fn header_bytes(fingerprint: &str) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(JOURNAL_MAGIC.len() + 4 + fingerprint.len());
-    buf.extend_from_slice(JOURNAL_MAGIC);
-    snapshot::put_u32(&mut buf, fingerprint.len() as u32);
-    buf.extend_from_slice(fingerprint.as_bytes());
-    buf
-}
-
 /// Serializes one operation as a framed record (length + checksum +
 /// payload) ready to append.
-pub fn encode_record(op: &JournalOp) -> io::Result<Vec<u8>> {
+fn encode_record(op: &JournalOp) -> io::Result<Vec<u8>> {
     let payload = serde_json::to_string(op).map_err(io::Error::other)?;
-    let payload = payload.as_bytes();
     let mut buf = Vec::with_capacity(12 + payload.len());
-    snapshot::put_u32(&mut buf, payload.len() as u32);
-    snapshot::put_u64(&mut buf, snapshot::fnv1a_bytes(payload));
-    buf.extend_from_slice(payload);
+    record::push_record(&mut buf, payload.as_bytes());
     Ok(buf)
 }
 
 /// Serializes a whole journal (header + records) to bytes.
 pub fn journal_bytes(fingerprint: &str, ops: &[JournalOp]) -> io::Result<Vec<u8>> {
-    let mut buf = header_bytes(fingerprint);
+    let mut buf = record::header(JOURNAL_MAGIC, fingerprint);
     for op in ops {
         buf.extend_from_slice(&encode_record(op)?);
     }
@@ -142,107 +94,26 @@ pub fn journal_bytes(fingerprint: &str, ops: &[JournalOp]) -> io::Result<Vec<u8>
 }
 
 /// Parses journal bytes, verifying the fingerprint and every record
-/// checksum (trust policy in the module docs). Never fails — damage
-/// degrades to a shorter verified prefix.
-pub fn read_journal_bytes(data: &[u8], fingerprint: &str) -> (Vec<JournalOp>, JournalReport) {
-    let mut report = JournalReport::default();
-    let mut c = Cursor { data, at: 0 };
-    let header_ok = (|| {
-        let magic = c.take(JOURNAL_MAGIC.len())?;
-        if magic != JOURNAL_MAGIC {
-            return None;
-        }
-        let fp_len = c.u32()? as usize;
-        let fp = std::str::from_utf8(c.take(fp_len)?).ok()?;
-        (fp == fingerprint).then_some(())
-    })();
-    if header_ok.is_none() {
-        report.stale = true;
-        return (Vec::new(), report);
-    }
-    let mut ops = Vec::new();
-    let mut verified = c.at;
-    while !c.done() {
-        let record = (|| {
-            let payload_len = c.u32()? as usize;
-            let checksum = c.u64()?;
-            let payload = c.take(payload_len)?;
-            if snapshot::fnv1a_bytes(payload) != checksum {
-                return None;
-            }
-            let text = std::str::from_utf8(payload).ok()?;
-            serde_json::from_str::<JournalOp>(text).ok()
-        })();
-        match record {
-            Some(op) => {
-                ops.push(op);
-                verified = c.at;
-            }
-            None => {
-                report.corrupt = true;
-                break;
-            }
-        }
-    }
-    report.records = ops.len();
-    report.valid_bytes = verified;
-    (ops, report)
+/// (trust policy in [`crate::record`]). Never fails — damage degrades to
+/// a shorter verified prefix.
+pub fn read_journal_bytes(data: &[u8], fingerprint: &str) -> (Vec<JournalOp>, RecordReport) {
+    record::read_bytes(data, JOURNAL_MAGIC, fingerprint, |payload| {
+        serde_json::from_str(std::str::from_utf8(payload).ok()?).ok()
+    })
 }
 
-/// Reads a journal file (trust policy in the module docs).
-pub fn read_journal(path: &Path, fingerprint: &str) -> (Vec<JournalOp>, JournalReport) {
-    let mut data = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            if f.read_to_end(&mut data).is_err() {
-                return (
-                    Vec::new(),
-                    JournalReport {
-                        corrupt: true,
-                        ..JournalReport::default()
-                    },
-                );
-            }
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            return (
-                Vec::new(),
-                JournalReport {
-                    missing: true,
-                    ..JournalReport::default()
-                },
-            );
-        }
-        Err(_) => {
-            return (
-                Vec::new(),
-                JournalReport {
-                    corrupt: true,
-                    ..JournalReport::default()
-                },
-            );
-        }
-    }
-    read_journal_bytes(&data, fingerprint)
+/// Reads a journal file (trust policy in [`crate::record`]).
+pub fn read_journal(path: &Path, fingerprint: &str) -> (Vec<JournalOp>, RecordReport) {
+    record::read_file(path, |data| read_journal_bytes(data, fingerprint))
 }
 
 /// Writes a complete journal atomically (temp file + fsync + rename) —
 /// the checkpoint compaction path. A crash mid-write leaves the previous
-/// generation intact.
+/// generation intact. Returns the journal's size in bytes.
 pub fn write_journal(path: &Path, fingerprint: &str, ops: &[JournalOp]) -> io::Result<usize> {
-    let buf = journal_bytes(fingerprint, ops)?;
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    let mut file = File::create(&tmp)?;
-    file.write_all(&buf)?;
-    file.sync_all()?;
-    drop(file);
-    match fs::rename(&tmp, path) {
-        Ok(()) => Ok(buf.len()),
-        Err(e) => {
-            let _ = fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
+    let bytes = journal_bytes(fingerprint, ops)?;
+    record::write_atomic(path, &bytes)?;
+    Ok(bytes.len())
 }
 
 /// An append handle over an open journal file. Appends are plain
@@ -250,7 +121,6 @@ pub fn write_journal(path: &Path, fingerprint: &str, ops: &[JournalOp]) -> io::R
 /// they return, without a per-record fsync (see the module docs).
 pub struct JournalWriter {
     file: File,
-    bytes: u64,
 }
 
 impl JournalWriter {
@@ -258,13 +128,9 @@ impl JournalWriter {
     /// header.
     pub fn create(path: &Path, fingerprint: &str) -> io::Result<Self> {
         let mut file = File::create(path)?;
-        let header = header_bytes(fingerprint);
-        file.write_all(&header)?;
+        file.write_all(&record::header(JOURNAL_MAGIC, fingerprint))?;
         file.sync_all()?;
-        Ok(JournalWriter {
-            file,
-            bytes: header.len() as u64,
-        })
+        Ok(JournalWriter { file })
     }
 
     /// Opens `path` for appending, first reading back its verified prefix.
@@ -275,7 +141,7 @@ impl JournalWriter {
     pub fn resume(
         path: &Path,
         fingerprint: &str,
-    ) -> io::Result<(Self, Vec<JournalOp>, JournalReport)> {
+    ) -> io::Result<(Self, Vec<JournalOp>, RecordReport)> {
         let (ops, report) = read_journal(path, fingerprint);
         if report.missing || report.stale {
             let writer = Self::create(path, fingerprint)?;
@@ -286,11 +152,7 @@ impl JournalWriter {
             file.set_len(report.valid_bytes as u64)?;
             file.sync_all()?;
         }
-        let writer = JournalWriter {
-            file,
-            bytes: report.valid_bytes as u64,
-        };
-        Ok((writer, ops, report))
+        Ok((JournalWriter { file }, ops, report))
     }
 
     /// Opens an existing, just-written journal for appending at its end
@@ -298,26 +160,14 @@ impl JournalWriter {
     /// a moment ago, so no verification pass is needed).
     pub fn open_end(path: &Path) -> io::Result<Self> {
         let file = OpenOptions::new().append(true).open(path)?;
-        let bytes = file.metadata()?.len();
-        Ok(JournalWriter { file, bytes })
+        Ok(JournalWriter { file })
     }
 
     /// Appends one operation. Returns the record's size in bytes.
     pub fn append(&mut self, op: &JournalOp) -> io::Result<usize> {
         let record = encode_record(op)?;
         self.file.write_all(&record)?;
-        self.bytes += record.len() as u64;
         Ok(record.len())
-    }
-
-    /// Total bytes in the journal (header + appended records).
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Flushes file contents to stable storage (checkpoint boundary).
-    pub fn sync(&self) -> io::Result<()> {
-        self.file.sync_all()
     }
 }
 
@@ -408,5 +258,33 @@ mod tests {
         let (ops, report) = read_journal(Path::new("/nonexistent/rmts/journal.log"), "fp");
         assert!(ops.is_empty());
         assert!(report.missing && !report.corrupt && !report.stale);
+    }
+
+    /// The journal image of `demo_ops()` under the fingerprint
+    /// `rmts-engine/pinned/memo-fmt1`, as written by the format's first
+    /// release. A change here strands every journal already on disk.
+    const PINNED_JOURNAL: &str = concat!(
+        "524d54534a524e311c000000726d74732d656e67696e652f70696e6e65642f6d",
+        "656d6f2d666d7431ca000000a4ccb5061e977f8f7b224f70656e223a7b227365",
+        "7373696f6e223a2261222c2262617365223a7b227461736b736574223a5b5b31",
+        "2c345d2c5b322c385d5d2c226d223a322c22616c676f726974686d223a226c69",
+        "676874222c22706f6c696379223a6e756c6c2c22627564676574223a7b226465",
+        "61646c696e655f6d73223a6e756c6c2c226d61785f697465726174696f6e7322",
+        "3a6e756c6c2c226d61785f70726f626573223a6e756c6c2c22686f72697a6f6e",
+        "5f636170223a6e756c6c7d2c2264656772616465223a66616c73657d7d7d5300",
+        "0000bec81d24b3ded8d77b2244656c7461223a7b2273657373696f6e223a2261",
+        "222c2264656c7461223a7b226f7073223a5b7b22557064617465223a7b226964",
+        "223a302c2277636574223a322c22706572696f64223a347d7d5d7d7d7d380000",
+        "0001f4338c06b9d9387b2244656c7461223a7b2273657373696f6e223a226122",
+        "2c2264656c7461223a7b226f7073223a5b7b2252656d6f7665223a317d5d7d7d",
+        "7d19000000da1deb7145b497f67b22436c6f7365223a7b2273657373696f6e22",
+        "3a2261227d7d",
+    );
+
+    #[test]
+    fn on_disk_bytes_are_pinned() {
+        let bytes = journal_bytes("rmts-engine/pinned/memo-fmt1", &demo_ops()).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, PINNED_JOURNAL);
     }
 }

@@ -40,6 +40,11 @@
 //!    hit/miss labels depend on the request stream, not on thread
 //!    timing.
 //!
+//! State outlives the process in two [`record`] files, one on-disk format
+//! with one trust policy: the memo snapshot ([`snapshot`]) and the
+//! write-ahead session journal ([`journal`]), which
+//! [`durability`] checkpoints and recovers.
+//!
 //! Because both the memo-hit and the fresh path analyze the *canonical*
 //! form, memo-hit ≡ fresh reduces to determinism of the engines, which the
 //! conformance suite pins down. Task ids appearing in verdicts refer to
@@ -76,6 +81,7 @@ pub mod canonical;
 pub mod durability;
 pub mod journal;
 pub mod queue;
+pub mod record;
 pub mod request;
 pub mod service;
 mod shard;
@@ -84,17 +90,16 @@ pub mod wire;
 
 pub use canonical::{CanonicalBatch, CanonicalSet};
 pub use durability::{CheckpointReport, DurabilityConfig, DurabilityStats, RecoveryReport};
-pub use journal::{read_journal, write_journal, JournalOp, JournalReport};
+pub use journal::{read_journal, write_journal, JournalOp};
 pub use queue::BoundedQueue;
+pub use record::RecordReport;
 pub use request::{
     AnalysisOutcome, AnalyzeRequest, BudgetSpec, RepartitionRequest, Request, Response,
     SessionMeta, SessionOp, Verdict, WIRE_V1, WIRE_V2,
 };
 pub use rmts_core::{AlgorithmSpec, BoundSpec};
 pub use service::{Service, ServiceConfig, ServiceStats, Ticket};
-pub use snapshot::{
-    engine_fingerprint, read_snapshot, write_snapshot, MemoEntry, RestoreReport, SnapshotReport,
-};
+pub use snapshot::{engine_fingerprint, read_snapshot, write_snapshot, MemoEntry, SnapshotReport};
 pub use wire::{
     parse_line, parse_requests, parse_stream, render_responses, render_stream_responses,
     ResponseRecord, SessionRecord,

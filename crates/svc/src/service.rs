@@ -7,10 +7,12 @@ use crate::durability::{
 };
 use crate::journal::{JournalOp, JournalWriter};
 use crate::queue::BoundedQueue;
+use crate::record::{fnv1a, RecordReport, FNV_OFFSET};
 use crate::request::{AnalyzeRequest, RepartitionRequest, Request, Response, Verdict};
-use crate::shard::{engine_key, AnalyzeJob, CanonJob, Job, Memo, SessionJob, SessionState, Shard};
-use crate::snapshot::{self, MemoEntry, RestoreReport, SnapshotReport};
+use crate::shard::{engine_key, AnalyzeJob, CanonJob, Job, Memo, SessionJob, Shard, ShardExport};
+use crate::snapshot::{self, MemoEntry, SnapshotReport};
 use std::collections::{HashMap, HashSet};
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -92,17 +94,6 @@ pub struct ServiceStats {
     pub shard_busy_ns: Vec<u64>,
 }
 
-/// FNV-1a over raw bytes — the session-name routing hash (the canonical
-/// task-set hash in `canonical.rs` uses the same function over pairs).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// A pending single-request submission; redeem with [`Ticket::wait`].
 pub struct Ticket {
     rx: mpsc::Receiver<Response>,
@@ -144,26 +135,19 @@ impl Service {
     /// Spawns the shard fleet warm: restores the memo snapshot at `path`
     /// (if any) and seeds each shard with the entries that route to it.
     /// A missing, stale, or corrupt snapshot degrades to a (partially)
-    /// cold start — see [`crate::snapshot`] for the trust
+    /// cold start — see [`crate::record`] for the trust
     /// policy — with `svc.memo.restored` / `svc.memo.stale` /
     /// `svc.memo.corrupt` counters emitted when an `obs` recording is
     /// live on the calling thread.
-    pub fn with_restored(cfg: ServiceConfig, path: &Path) -> (Self, RestoreReport) {
-        let (entries, report) = snapshot::read_snapshot(path);
-        rmts_obs::count("svc.memo.restored", report.restored as u64);
-        if report.stale {
-            rmts_obs::count("svc.memo.stale", 1);
-        }
-        if report.corrupt {
-            rmts_obs::count("svc.memo.corrupt", 1);
-        }
+    pub fn with_restored(cfg: ServiceConfig, path: &Path) -> (Self, RecordReport) {
+        let (entries, report) = restore_memo(path);
         (Self::new_seeded(cfg, entries), report)
     }
 
     /// Spawns a **crash-durable** fleet rooted at `cfg.dir` (created if
     /// absent): recovers the newest valid memo snapshot and session
     /// journal (see [`crate::durability`] for the generation layout and
-    /// [`crate::journal`] for the trust policy), replays every journaled
+    /// [`crate::record`] for the trust policy), replays every journaled
     /// session op through the ordinary session machinery — guided replay
     /// is deterministic, so recovered sessions are bit-identical to their
     /// pre-crash state — and starts the background snapshot scheduler.
@@ -171,23 +155,15 @@ impl Service {
     pub fn with_durability(
         cfg: ServiceConfig,
         dcfg: DurabilityConfig,
-    ) -> std::io::Result<(Self, RecoveryReport)> {
+    ) -> io::Result<(Self, RecoveryReport)> {
         std::fs::create_dir_all(&dcfg.dir)?;
         let fp = snapshot::engine_fingerprint();
         let (memo_gen, journal_gen) = durability::newest_generations(&dcfg.dir);
         let mut report = RecoveryReport::default();
-        let entries = match memo_gen {
-            Some(g) => {
-                let (entries, memo_report) =
-                    snapshot::read_snapshot(&durability::memo_path(&dcfg.dir, g));
-                report.memo = memo_report;
-                entries
-            }
-            None => {
-                report.memo.missing = true;
-                Vec::new()
-            }
-        };
+        // With no memo file at all, generation 0's path is missing too.
+        let (entries, memo_report) =
+            restore_memo(&durability::memo_path(&dcfg.dir, memo_gen.unwrap_or(0)));
+        report.memo = memo_report;
         // Sessions come from the newest journal *file*; the generation
         // counter continues from the newest file of either kind, so the
         // next checkpoint never collides with a crash straggler (a memo
@@ -203,13 +179,6 @@ impl Service {
             report.generation,
         ));
         let svc = Self::new_seeded_durable(cfg, entries, Some(Arc::clone(&dur)));
-        rmts_obs::count("svc.memo.restored", report.memo.restored as u64);
-        if report.memo.stale {
-            rmts_obs::count("svc.memo.stale", 1);
-        }
-        if report.memo.corrupt {
-            rmts_obs::count("svc.memo.corrupt", 1);
-        }
         let (replayed, recovered, failed) = svc.replay_journal(&ops);
         report.ops_replayed = replayed;
         report.sessions_recovered = recovered;
@@ -256,15 +225,10 @@ impl Service {
             self.enqueue_session(i, req, tx.clone(), false);
         }
         drop(tx);
-        let mut responses: Vec<Option<Response>> = (0..ops.len()).map(|_| None).collect();
-        for resp in rx {
-            let slot = resp.index;
-            responses[slot] = Some(resp);
-        }
+        let responses = collect_in_order(rx, ops.len());
         let mut alive: HashMap<&str, bool> = HashMap::new();
         let mut failed: HashSet<&str> = HashSet::new();
         for (op, resp) in ops.iter().zip(&responses) {
-            let resp = resp.as_ref().expect("every replayed op gets one response");
             let ok = match op {
                 JournalOp::Open { .. } | JournalOp::Delta { .. } => {
                     matches!(resp.outcome.verdict, Verdict::Accepted { .. })
@@ -419,14 +383,7 @@ impl Service {
             }
         }
         drop(tx);
-        let mut out: Vec<Option<Response>> = (0..n).map(|_| None).collect();
-        for resp in rx {
-            let slot = resp.index;
-            out[slot] = Some(resp);
-        }
-        out.into_iter()
-            .map(|r| r.expect("every submitted request gets exactly one response"))
-            .collect()
+        collect_in_order(rx, n)
     }
 
     /// Analyzes a whole batch, returning responses in request order.
@@ -461,15 +418,7 @@ impl Service {
             self.enqueue(i, req, canon, tx.clone());
         }
         drop(tx);
-        let mut out: Vec<Option<Response>> = (0..n).map(|_| None).collect();
-        for resp in rx {
-            let slot = resp.index;
-            out[slot] = Some(resp);
-        }
-        let responses: Vec<Response> = out
-            .into_iter()
-            .map(|r| r.expect("every submitted request gets exactly one response"))
-            .collect();
+        let responses = collect_in_order(rx, n);
         if rmts_obs::enabled() {
             let after = self.stats_inner();
             rmts_obs::count("svc.batch.requests", n as u64);
@@ -528,7 +477,7 @@ impl Service {
     ) {
         // Route by session name: the session's state lives on exactly one
         // shard, and that shard's FIFO serializes its ops.
-        let hash = fnv1a(req.session.as_bytes());
+        let hash = fnv1a(FNV_OFFSET, req.session.as_bytes());
         let shard = (hash % self.queues.len() as u64) as usize;
         self.stats.submitted.fetch_add(1, Ordering::Relaxed);
         self.queues[shard]
@@ -576,7 +525,7 @@ impl Service {
     /// prior generation is deleted. Serialized against the background
     /// scheduler and shutdown by the snapshot-generation lock. Returns
     /// `Ok(None)` on a non-durable service or when shutdown won the race.
-    pub fn checkpoint(&self) -> std::io::Result<Option<CheckpointReport>> {
+    pub fn checkpoint(&self) -> io::Result<Option<CheckpointReport>> {
         match &self.durability {
             Some(dur) => durability::run_checkpoint(&self.queues, dur),
             None => Ok(None),
@@ -610,49 +559,22 @@ impl Service {
     /// generation is written under the snapshot-generation lock, so a
     /// background checkpoint can never race the shutdown files.
     pub fn shutdown(&self) -> ServiceStats {
-        self.stop_scheduler();
-        match self.durability.clone() {
-            Some(dur) => {
-                let _guard = dur
-                    .checkpoint_lock
-                    .lock()
-                    .expect("checkpoint lock poisoned");
-                if let Some((memo, sessions)) = self.drain_and_join() {
-                    let generation = dur.generation.load(Ordering::Relaxed) + 1;
-                    // Best-effort: failure leaves the previous generation
-                    // (plus the live journal) intact — recovery replays it.
-                    let _ = durability::write_generation(&dur, generation, &memo, &sessions);
-                }
-            }
-            None => {
-                let _ = self.drain_and_join();
-            }
-        }
+        // Best-effort: a failed final generation leaves the previous one
+        // (plus the live journal) intact — recovery replays it.
+        let _ = self.drain_and_persist();
         self.stats_inner()
     }
 
     /// [`Service::shutdown`], then writes the drained memo tables to
     /// `path` atomically (temp file + rename). Every request accepted
     /// before the call is analyzed, answered, and — via the FIFO drain
-    /// barrier — present in the written snapshot. On a durable service a
-    /// final generation is also written, under the same
-    /// snapshot-generation lock the background scheduler takes, so the
-    /// two writers are serialized — never interleaved on the same paths.
-    /// A second call is a no-op that leaves the first snapshot in place.
-    pub fn shutdown_with_snapshot(&self, path: &Path) -> std::io::Result<SnapshotReport> {
-        self.stop_scheduler();
-        let dur = self.durability.clone();
-        let _guard = dur
-            .as_ref()
-            .map(|d| d.checkpoint_lock.lock().expect("checkpoint lock poisoned"));
-        match self.drain_and_join() {
-            Some((memo, sessions)) => {
-                if let Some(dur) = &dur {
-                    let generation = dur.generation.load(Ordering::Relaxed) + 1;
-                    durability::write_generation(dur, generation, &memo, &sessions)?;
-                }
-                snapshot::write_snapshot(path, &memo)
-            }
+    /// barrier — present in the written snapshot. On a durable service
+    /// the final generation is written first, and a failure to write it
+    /// is returned. A second call is a no-op that leaves the first
+    /// snapshot in place.
+    pub fn shutdown_with_snapshot(&self, path: &Path) -> io::Result<SnapshotReport> {
+        match self.drain_and_persist()? {
+            Some(cut) => snapshot::write_snapshot(path, &cut.memo),
             // Already drained by an earlier shutdown: do not overwrite the
             // snapshot it wrote with an empty one.
             None => Ok(SnapshotReport {
@@ -662,54 +584,42 @@ impl Service {
         }
     }
 
-    /// The shared drain machinery: barrier-export every shard's memo and
-    /// sessions, close the queues, join the workers. Returns the merged
-    /// state, or `None` when the fleet was already drained (second
-    /// shutdown, post-Drop).
-    fn drain_and_join(&self) -> Option<(Vec<MemoEntry>, Vec<SessionState>)> {
-        let mut exports = Vec::with_capacity(self.queues.len());
-        for q in &self.queues {
-            let (tx, rx) = mpsc::channel();
-            // An already-closed queue (second shutdown, post-Drop) simply
-            // yields no export for that shard.
-            if q.push(Job::Export(tx)).is_ok() {
-                exports.push(rx);
-            }
-        }
-        for q in &self.queues {
-            q.close();
-        }
-        let drained = !exports.is_empty();
-        let mut memo: Vec<MemoEntry> = Vec::new();
-        let mut sessions: Vec<SessionState> = Vec::new();
-        for rx in exports {
-            if let Ok(export) = rx.recv() {
-                memo.extend(export.memo);
-                sessions.extend(export.sessions);
-            }
-        }
-        // Shard-merge order must not depend on shard count: keep the
-        // per-shard sorted runs globally sorted.
-        memo.sort_by(|a, b| (&a.pairs, a.m, &a.engine).cmp(&(&b.pairs, b.m, &b.engine)));
-        sessions.sort_by(|a, b| a.name.cmp(&b.name));
-        let workers: Vec<JoinHandle<()>> = {
-            let mut guard = self.workers.lock().expect("worker registry poisoned");
-            guard.drain(..).collect()
-        };
-        for w in workers {
-            if w.join().is_err() && !std::thread::panicking() {
-                panic!("rmts-svc shard worker panicked");
-            }
-        }
-        drained.then_some((memo, sessions))
-    }
-}
-
-impl Drop for Service {
-    fn drop(&mut self) {
-        // Stop the snapshot scheduler before closing the queues so an
-        // in-flight checkpoint completes against a live fleet.
+    /// The shared shutdown: stops the scheduler, drains the fleet behind
+    /// the export barrier and, on a durable service, writes the final
+    /// generation — under the snapshot-generation lock the scheduler
+    /// takes, so the two writers never interleave on the same paths.
+    /// Returns the drained cut, or `None` when the fleet was already
+    /// drained (second shutdown).
+    fn drain_and_persist(&self) -> io::Result<Option<ShardExport>> {
         self.stop_scheduler();
+        let dur = self.durability.as_deref();
+        let _guard = dur.map(|d| d.checkpoint_lock.lock().expect("checkpoint lock poisoned"));
+        // An already-closed queue (second shutdown) yields no export.
+        let exports = self
+            .queues
+            .iter()
+            .filter_map(|q| {
+                let (reply, export) = mpsc::channel();
+                q.push(Job::Export {
+                    reply,
+                    resume: None,
+                })
+                .is_ok()
+                .then_some(export)
+            })
+            .collect();
+        // The workers answer every export before they exit; the answers
+        // wait in their channels.
+        self.close_and_join();
+        let cut = durability::merge(exports);
+        if let (Some(dur), Some(cut)) = (dur, &cut) {
+            durability::write_generation(dur, cut)?;
+        }
+        Ok(cut)
+    }
+
+    /// Closes every shard queue and joins the workers; idempotent.
+    fn close_and_join(&self) {
         for q in &self.queues {
             q.close();
         }
@@ -724,5 +634,42 @@ impl Drop for Service {
                 panic!("rmts-svc shard worker panicked");
             }
         }
+    }
+}
+
+/// Collects the `n` responses of one submission from `rx` into request
+/// order (a response's `index` is its slot). The caller drops its own
+/// sender first, so the loop ends once every job has answered.
+fn collect_in_order(rx: mpsc::Receiver<Response>, n: usize) -> Vec<Response> {
+    let mut out: Vec<Option<Response>> = (0..n).map(|_| None).collect();
+    for resp in rx {
+        let slot = resp.index;
+        out[slot] = Some(resp);
+    }
+    out.into_iter()
+        .map(|r| r.expect("every submitted request gets exactly one response"))
+        .collect()
+}
+
+/// Reads the memo snapshot at `path` and emits the
+/// `svc.memo.{restored,stale,corrupt}` counters for it.
+fn restore_memo(path: &Path) -> (Vec<MemoEntry>, RecordReport) {
+    let (entries, report) = snapshot::read_snapshot(path);
+    rmts_obs::count("svc.memo.restored", report.records as u64);
+    if report.stale {
+        rmts_obs::count("svc.memo.stale", 1);
+    }
+    if report.corrupt {
+        rmts_obs::count("svc.memo.corrupt", 1);
+    }
+    (entries, report)
+}
+
+impl Drop for Service {
+    fn drop(&mut self) {
+        // Stop the snapshot scheduler before closing the queues so an
+        // in-flight checkpoint completes against a live fleet.
+        self.stop_scheduler();
+        self.close_and_join();
     }
 }

@@ -96,31 +96,28 @@ pub(crate) enum Job {
     /// A v2 session operation (routed by session-name hash, so all ops of
     /// a session serialize through one shard's FIFO).
     Session(SessionJob),
-    /// A full-state export (the snapshot/drain barrier): the shard
-    /// answers with every memoized entry and live session it holds.
-    /// Because shard queues are FIFO, the export observes every job
-    /// enqueued before it — this is what makes
-    /// [`Service::shutdown`](crate::Service::shutdown) a drain barrier
-    /// rather than a best-effort flush.
-    Export(mpsc::Sender<ShardExport>),
-    /// A checkpoint barrier: like `Export`, but the shard then **pauses**
-    /// (blocks on `resume`) until the checkpointer finishes writing the
-    /// generation. With every shard paused no op can commit, so the
-    /// checkpoint is a consistent cut of the whole fleet. Dropping the
-    /// resume sender — on any checkpointer exit path — resumes the shard.
-    Checkpoint {
+    /// A full-state export, the one fleet barrier: the shard answers with
+    /// every memoized entry and live session it holds. Because shard
+    /// queues are FIFO, the export observes every job enqueued before it
+    /// — this is what makes [`Service::shutdown`](crate::Service::shutdown)
+    /// a drain barrier rather than a best-effort flush.
+    Export {
         /// Where to send this shard's export.
         reply: mpsc::Sender<ShardExport>,
-        /// Blocks the shard until the checkpointer drops its sender.
-        resume: mpsc::Receiver<()>,
+        /// Set for a checkpoint: the shard then **pauses** until the
+        /// checkpointer drops the sender (on any exit path), so with every
+        /// shard paused no op can commit and the checkpoint is a
+        /// consistent cut of the whole fleet.
+        resume: Option<mpsc::Receiver<()>>,
     },
 }
 
-/// Everything a shard owns that durability cares about.
+/// Everything a shard owns that durability cares about, in no particular
+/// order; [`merge`](crate::durability::merge) sorts the fleet's cut.
 pub(crate) struct ShardExport {
-    /// The memo table (sorted).
+    /// The memo table.
     pub memo: Vec<MemoEntry>,
-    /// The live sessions (sorted by name).
+    /// The live sessions.
     pub sessions: Vec<SessionState>,
 }
 
@@ -286,10 +283,9 @@ impl Memo {
         ));
     }
 
-    /// Every entry, sorted (checkpoint and drain-barrier order).
+    /// Every entry, in table order.
     fn export(&self) -> Vec<MemoEntry> {
-        let mut memo: Vec<MemoEntry> = self
-            .buckets
+        self.buckets
             .read()
             .expect("memo lock poisoned")
             .values()
@@ -300,10 +296,7 @@ impl Memo {
                 engine: k.engine.clone(),
                 outcome: (**outcome).clone(),
             })
-            .collect();
-        // Deterministic file order regardless of HashMap iteration.
-        memo.sort_by(|a, b| (&a.pairs, a.m, &a.engine).cmp(&(&b.pairs, b.m, &b.engine)));
-        memo
+            .collect()
     }
 }
 
@@ -359,14 +352,14 @@ impl Shard {
                 match job {
                     Job::Analyze(job) => shard.serve(job),
                     Job::Session(job) => shard.serve_session(job),
-                    Job::Export(reply) => {
+                    Job::Export { reply, resume } => {
                         let _ = reply.send(shard.export_state());
-                    }
-                    Job::Checkpoint { reply, resume } => {
-                        let _ = reply.send(shard.export_state());
-                        // Pause until the checkpointer finishes (or drops
-                        // its sender on an abort path — same wake-up).
-                        let _ = resume.recv();
+                        // A checkpoint pauses until the checkpointer
+                        // finishes (or drops its sender on an abort path —
+                        // same wake-up).
+                        if let Some(resume) = resume {
+                            let _ = resume.recv();
+                        }
                     }
                 }
             }
@@ -378,8 +371,7 @@ impl Shard {
     /// Serializes the memo table and session fleet for a checkpoint (or a
     /// drain barrier).
     fn export_state(&self) -> ShardExport {
-        let memo = self.memo.export();
-        let mut sessions: Vec<SessionState> = self
+        let sessions = self
             .sessions
             .iter()
             .map(|(name, live)| SessionState {
@@ -389,8 +381,10 @@ impl Shard {
                 digest: live.session.state_digest(),
             })
             .collect();
-        sessions.sort_by(|a, b| a.name.cmp(&b.name));
-        ShardExport { memo, sessions }
+        ShardExport {
+            memo: self.memo.export(),
+            sessions,
+        }
     }
 
     fn serve(&mut self, job: AnalyzeJob) {

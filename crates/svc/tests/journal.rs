@@ -282,7 +282,7 @@ fn memo_survives_a_checkpoint_and_loss_is_bounded_by_the_interval() {
     let (svc, rec) =
         Service::with_durability(ServiceConfig::new().with_shards(4), quiet(&dir)).unwrap();
     assert_eq!(rec.generation, 1);
-    assert_eq!(rec.memo.restored, reqs.len(), "{rec:?}");
+    assert_eq!(rec.memo.records, reqs.len(), "{rec:?}");
     // Everything analyzed before the checkpoint answers from the memo.
     svc.analyze_batch(reqs.clone());
     assert_eq!(svc.stats().memo_hits, reqs.len() as u64);
@@ -315,6 +315,64 @@ fn checkpoint_truncates_the_journal_and_drops_dead_weight() {
     let again = svc.checkpoint().unwrap().unwrap();
     assert_eq!(again.generation, 2);
     assert_eq!(again.sessions_digest, report.sessions_digest);
+}
+
+#[test]
+fn checkpoint_removes_temp_files_orphaned_by_a_kill() {
+    // A kill between a checkpoint's temp write and its rename leaves
+    // `{memo,journal}.g{N}.tmp.{pid}` behind — megabytes each on a warm
+    // memo. The next completed checkpoint must sweep them, whatever
+    // generation or pid they carry.
+    let dir = TempDir::new("orphans");
+    let orphans = [
+        "memo.g0.tmp.0",
+        "journal.g0.tmp.0",
+        "memo.g1.tmp.0",
+        "journal.g1.tmp.0",
+        "memo.g9.tmp.0",
+        "journal.g9.tmp.0",
+    ];
+    for name in orphans {
+        std::fs::write(dir.0.join(name), b"torn checkpoint").unwrap();
+    }
+    let (svc, _) =
+        Service::with_durability(ServiceConfig::new().with_shards(2), quiet(&dir)).unwrap();
+    assert_all_served(&svc.run_stream(scripted_ops()));
+    svc.analyze_batch(vec![AnalyzeRequest::new(
+        vec![(1, 4), (2, 8)],
+        2,
+        AlgorithmSpec::RmTsLight,
+    )]);
+    let report = svc.checkpoint().unwrap().expect("live fleet checkpoints");
+    assert_eq!(report.generation, 1);
+    for name in orphans {
+        assert!(
+            !dir.0.join(name).exists(),
+            "{name} survived a completed checkpoint"
+        );
+    }
+
+    // The generation the checkpoint wrote is intact and complete.
+    let (entries, memo) = rmts_svc::read_snapshot(&dir.0.join("memo.g1.snap"));
+    assert!(!memo.missing && !memo.stale && !memo.corrupt, "{memo:?}");
+    assert_eq!(entries.len(), report.memo_entries);
+    let (ops, journal) = read_journal(&dir.0.join("journal.g1.log"), &engine_fingerprint());
+    assert!(
+        !journal.missing && !journal.stale && !journal.corrupt,
+        "{journal:?}"
+    );
+    assert_eq!(journal.valid_bytes, report.journal_bytes);
+    assert_eq!(
+        ops.iter()
+            .filter(|o| matches!(o, JournalOp::Open { .. }))
+            .count(),
+        report.sessions
+    );
+    drop(svc);
+    let (_, recovered) =
+        Service::with_durability(ServiceConfig::new().with_shards(2), quiet(&dir)).unwrap();
+    assert_eq!(recovered.generation, 1);
+    assert_eq!(recovered.sessions_recovered, 2, "{recovered:?}");
 }
 
 // ------------------------------------------------------- damage sweeps

@@ -136,7 +136,7 @@ fn restored_hits_never_touch_a_shard() {
 
     let (svc, report) = Service::with_restored(ServiceConfig::new().with_shards(2), &path);
     let _ = std::fs::remove_file(&path);
-    assert_eq!(report.restored, 1);
+    assert_eq!(report.records, 1);
     let before = svc.stats();
     let resp = svc.submit(req.clone()).wait();
     let after = svc.stats();

@@ -1,6 +1,7 @@
 //! Snapshot battery: the corruption matrix (truncated file, flipped
 //! checksum byte, wrong build fingerprint, empty file), the shutdown
-//! drain barrier, and property tests pinning down round-trip fidelity.
+//! drain barrier, and property tests pinning down round-trip fidelity
+//! and single-byte damage.
 //!
 //! The invariant throughout: a damaged snapshot degrades to a **cold but
 //! working** memo — restore counters tell the story, and no damaged byte
@@ -8,8 +9,12 @@
 
 use proptest::prelude::*;
 use rmts_core::{AlgorithmSpec, Exactness};
-use rmts_svc::snapshot::{read_snapshot, write_snapshot, write_snapshot_as};
-use rmts_svc::{AnalysisOutcome, AnalyzeRequest, MemoEntry, Service, ServiceConfig, Verdict};
+use rmts_svc::snapshot::{
+    read_snapshot, read_snapshot_bytes, snapshot_bytes, write_snapshot, write_snapshot_as,
+};
+use rmts_svc::{
+    engine_fingerprint, AnalysisOutcome, AnalyzeRequest, MemoEntry, Service, ServiceConfig, Verdict,
+};
 use std::path::{Path, PathBuf};
 
 /// A self-cleaning temp dir per test.
@@ -59,7 +64,7 @@ fn demo_entries() -> Vec<MemoEntry> {
 
 /// Boots a service from `path` and proves it *works* cold: a real request
 /// analyzes fresh and answers correctly.
-fn assert_cold_but_working(path: &Path) -> rmts_svc::RestoreReport {
+fn assert_cold_but_working(path: &Path) -> rmts_svc::RecordReport {
     let (svc, report) = Service::with_restored(ServiceConfig::new().with_shards(2), path);
     let responses = svc.analyze_batch(vec![AnalyzeRequest::new(
         vec![(1, 4), (2, 8), (2, 8), (4, 16)],
@@ -88,11 +93,11 @@ fn truncated_snapshot_keeps_the_verified_prefix() {
     let (entries, report) = read_snapshot(&path);
     assert!(report.corrupt, "truncation is detected, not ignored");
     assert!(!report.stale && !report.missing);
-    assert_eq!(report.restored, 2, "the verified prefix survives");
+    assert_eq!(report.records, 2, "the verified prefix survives");
     assert_eq!(entries, demo_entries()[..2]);
 
     let report = assert_cold_but_working(&path);
-    assert!(report.corrupt && report.restored == 2);
+    assert!(report.corrupt && report.records == 2);
 }
 
 #[test]
@@ -158,7 +163,7 @@ fn flipped_checksum_byte_invalidates_exactly_the_damaged_record() {
     let (entries, report) = read_snapshot(&path);
     assert!(report.corrupt);
     assert_eq!(
-        report.restored, 1,
+        report.records, 1,
         "record 1 verifies, damage stops the read"
     );
     assert_eq!(entries, demo_entries()[..1]);
@@ -198,7 +203,7 @@ fn wrong_fingerprint_rejects_the_file_wholesale() {
     write_snapshot_as(&path, "rmts-engine/0.0.0-other/memo-fmt1", &demo_entries()).unwrap();
     let (entries, report) = read_snapshot(&path);
     assert!(report.stale && !report.corrupt);
-    assert_eq!(report.restored, 0);
+    assert_eq!(report.records, 0);
     assert!(
         entries.is_empty(),
         "nothing from a stale snapshot is trusted"
@@ -288,7 +293,7 @@ fn no_accepted_request_is_lost_between_shutdown_and_snapshot() {
     }
     // And the snapshot answers for all of them on the next life.
     let (svc, report) = Service::with_restored(ServiceConfig::new().with_shards(3), &path);
-    assert_eq!(report.restored, 24);
+    assert_eq!(report.records, 24);
     let responses = svc.analyze_batch(reqs);
     assert!(
         responses.iter().all(|r| r.memo_hit),
@@ -371,8 +376,31 @@ proptest! {
         write_snapshot(&path, &entries).unwrap();
         let (restored, report) = read_snapshot(&path);
         prop_assert_eq!(&restored, &entries);
-        prop_assert_eq!(report.restored, entries.len());
+        prop_assert_eq!(report.records, entries.len());
         prop_assert!(!report.stale && !report.corrupt && !report.missing);
+    }
+
+    /// Replacing any one byte of a snapshot image, header included,
+    /// never yields a *different valid* entry — only a (possibly empty)
+    /// prefix of the originals, as for the journal on the same framing.
+    #[test]
+    fn prop_single_byte_mutation_is_prefix_or_rejected(
+        entries in proptest::collection::vec(arb_entry(), 1..6),
+        offset_seed in 0u64..1_000_000,
+        newbyte_seed in 0u64..256,
+    ) {
+        let fp = engine_fingerprint();
+        let clean = snapshot_bytes(&fp, &entries).unwrap();
+        let offset = (offset_seed % clean.len() as u64) as usize;
+        let newbyte = newbyte_seed as u8;
+        prop_assume!(clean[offset] != newbyte);
+        let mut damaged = clean;
+        damaged[offset] = newbyte;
+        let (decoded, _) = read_snapshot_bytes(&damaged, &fp);
+        prop_assert!(
+            decoded.len() <= entries.len() && decoded == entries[..decoded.len()],
+            "mutate {offset} -> {newbyte:#04x}: decoded {decoded:?}"
+        );
     }
 
     /// A memo hit served from a restored snapshot is bit-identical to a
@@ -394,7 +422,7 @@ proptest! {
         first.shutdown_with_snapshot(&path).unwrap();
 
         let (second, report) = Service::with_restored(ServiceConfig::new().with_shards(2), &path);
-        prop_assert_eq!(report.restored, 1);
+        prop_assert_eq!(report.records, 1);
         let warm = second.analyze_batch(vec![req]);
         prop_assert!(warm[0].memo_hit, "restored entry must answer the duplicate");
         prop_assert_eq!(&warm[0].outcome, &fresh[0].outcome);

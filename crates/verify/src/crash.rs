@@ -2,13 +2,14 @@
 //!
 //! Two attack surfaces, two tools:
 //!
-//! * **Torn writes** — [`torn_write_sweep`] takes a set of journal
-//!   operations, encodes them with the real framing, and then damages the
-//!   byte stream every way a crashed `write(2)` could: truncation at
-//!   *every* byte offset, and a single-bit flip at *every* byte offset.
-//!   The invariant it asserts is the journal's whole safety story: a
-//!   damaged journal decodes to a **prefix** of the original operations
-//!   (or to nothing at all, when the header is hit) — never to a
+//! * **Torn writes** — [`torn_write_sweep`] takes an encoded record file
+//!   (a memo snapshot or a session journal: both share the
+//!   `rmts_svc::record` framing), the records it holds and the format's
+//!   decoder, and damages the image every way a crashed `write(2)` could:
+//!   truncation at *every* byte offset, and a single-bit flip at *every*
+//!   byte offset. The invariant it asserts is the record file's whole
+//!   safety story: a damaged file decodes to a **prefix** of the original
+//!   records (or to nothing at all, when the header is hit) — never to a
 //!   *different* valid record.
 //! * **Process kill** — [`ServerProc`] runs `rmts-cli serve` as a child
 //!   process so a test can SIGKILL it at randomized points mid-load
@@ -20,8 +21,7 @@
 //! [`campaign`](crate::campaign): a failing kill schedule is reproducible
 //! by number.
 
-use rmts_svc::journal::{journal_bytes, read_journal_bytes, JournalOp};
-use rmts_svc::snapshot::engine_fingerprint;
+use rmts_svc::RecordReport;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;
@@ -38,17 +38,17 @@ pub struct TornSweepReport {
     /// Single-bit flips tried (every byte offset of the encoded file).
     pub bitflips: usize,
     /// Damaged images that decoded to a strict prefix of the original
-    /// operations (torn tail detected and discarded).
+    /// records (torn tail detected and discarded).
     pub prefix_kept: usize,
     /// Damaged images rejected wholesale (header/fingerprint hit → stale).
     pub rejected: usize,
-    /// Damaged images that still decoded every original operation (the
+    /// Damaged images that still decoded every original record (the
     /// damage landed in bytes the verified prefix does not cover — only
     /// possible for truncation at exactly the end, or flips past the last
     /// record; counted separately as a sanity check).
     pub intact: usize,
     /// Offsets where damage decoded to something that is **not** a prefix
-    /// of the original operations — a different valid record survived.
+    /// of the original records — a different valid record survived.
     /// Empty in a correct implementation.
     pub violations: Vec<usize>,
 }
@@ -60,38 +60,42 @@ impl TornSweepReport {
     }
 }
 
-/// Exhaustively damages the encoded journal for `ops` — truncation at
-/// every byte offset and a single-bit flip at every byte offset — and
-/// checks the decode of each damaged image against the prefix invariant
-/// (module docs). The flipped bit at offset `i` is bit `i % 8`, so the
-/// sweep covers every bit lane without an 8× blowup.
-pub fn torn_write_sweep(ops: &[JournalOp]) -> TornSweepReport {
-    let fp = engine_fingerprint();
-    let clean = journal_bytes(&fp, ops).expect("journal ops must encode");
+/// Exhaustively damages `image`, the encoded record file holding
+/// `records` — truncation at every byte offset and a single-bit flip at
+/// every byte offset — and checks what `decode` (the format's byte
+/// reader, e.g. `read_journal_bytes` or `read_snapshot_bytes` under the
+/// writing fingerprint) makes of each damaged image against the prefix
+/// invariant (module docs). The flipped bit at offset `i` is bit `i % 8`,
+/// so the sweep covers every bit lane without an 8× blowup.
+pub fn torn_write_sweep<T: PartialEq>(
+    image: &[u8],
+    records: &[T],
+    decode: impl Fn(&[u8]) -> (Vec<T>, RecordReport),
+) -> TornSweepReport {
     let mut report = TornSweepReport::default();
-    let mut classify = |offset: usize, decoded: &[JournalOp], stale: bool| {
-        if stale {
+    let mut classify = |offset: usize, damaged: &[u8]| {
+        let (decoded, read) = decode(damaged);
+        if read.stale {
             report.rejected += 1;
-        } else if decoded.len() == ops.len() && decoded == ops {
+        } else if decoded == records {
             report.intact += 1;
-        } else if decoded.len() < ops.len() && decoded == &ops[..decoded.len()] {
+        } else if decoded.len() < records.len() && decoded == records[..decoded.len()] {
             report.prefix_kept += 1;
         } else {
             report.violations.push(offset);
         }
     };
-    for cut in 0..clean.len() {
-        let (decoded, r) = read_journal_bytes(&clean[..cut], &fp);
-        report.truncations += 1;
-        classify(cut, &decoded, r.stale);
+    for cut in 0..image.len() {
+        classify(cut, &image[..cut]);
     }
-    for offset in 0..clean.len() {
-        let mut damaged = clean.clone();
+    let mut damaged = image.to_vec();
+    for offset in 0..image.len() {
         damaged[offset] ^= 1 << (offset % 8);
-        let (decoded, r) = read_journal_bytes(&damaged, &fp);
-        report.bitflips += 1;
-        classify(offset, &decoded, r.stale);
+        classify(offset, &damaged);
+        damaged[offset] ^= 1 << (offset % 8);
     }
+    report.truncations = image.len();
+    report.bitflips = image.len();
     report
 }
 

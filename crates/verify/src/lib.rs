@@ -21,7 +21,8 @@
 //! * [`corpus`] — self-contained JSON reproducers under `tests/corpus/`,
 //!   replayed by the tier-1 suite.
 //! * [`crash`] — kill–recover fault injection for the durable service:
-//!   the exhaustive torn-write sweep over the session journal's framing,
+//!   the exhaustive torn-write sweep over the record-file framing the
+//!   memo snapshot and the session journal share,
 //!   plus a child-process harness that SIGKILLs a real `rmts-cli serve`
 //!   at seeded points mid-load and checks recovery.
 //! * [`sut`] — named, serializable partitioner configurations, including

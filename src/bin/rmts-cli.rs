@@ -559,8 +559,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "recovery: generation {}, {} memo entr{} restored, {} journal op(s) replayed, \
              {} session(s) recovered{}{}{}",
             rec.generation,
-            rec.memo.restored,
-            if rec.memo.restored == 1 { "y" } else { "ies" },
+            rec.memo.records,
+            if rec.memo.records == 1 { "y" } else { "ies" },
             rec.ops_replayed,
             rec.sessions_recovered,
             if rec.sessions_failed > 0 {
@@ -582,12 +582,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     let restore = server.restore_report();
     if server.recovery_report().is_none()
-        && (restore.restored > 0 || restore.stale || restore.corrupt)
+        && (restore.records > 0 || restore.stale || restore.corrupt)
     {
         eprintln!(
             "snapshot restore: {} memo entr{} restored{}{}",
-            restore.restored,
-            if restore.restored == 1 { "y" } else { "ies" },
+            restore.records,
+            if restore.records == 1 { "y" } else { "ies" },
             if restore.stale {
                 " (stale snapshot ignored)"
             } else {

@@ -13,10 +13,13 @@
 //! * **No half-applied resurrection** — sessions closed before the kill
 //!   stay closed.
 
+use rmts::core::Exactness;
+use rmts::svc::journal::{journal_bytes, read_journal_bytes};
+use rmts::svc::snapshot::{read_snapshot_bytes, snapshot_bytes};
 use rmts::svc::wire::SessionRecord;
 use rmts::svc::{
-    engine_fingerprint, read_journal, AlgorithmSpec, AnalyzeRequest, JournalOp, RepartitionRequest,
-    ResponseRecord, Verdict,
+    engine_fingerprint, read_journal, AlgorithmSpec, AnalysisOutcome, AnalyzeRequest, JournalOp,
+    MemoEntry, RepartitionRequest, ResponseRecord, Verdict,
 };
 use rmts::verify::{kill_points, torn_write_sweep, JsonlClient, ServerProc};
 use rmts_taskmodel::{Task, TaskId, TaskSetDelta};
@@ -375,7 +378,59 @@ fn torn_write_simulator_finds_no_surviving_corruption() {
             session: "alpha".into(),
         },
     ];
-    let report = torn_write_sweep(&ops);
+    let fp = engine_fingerprint();
+    let image = journal_bytes(&fp, &ops).unwrap();
+    let report = torn_write_sweep(&image, &ops, |bytes| read_journal_bytes(bytes, &fp));
+    assert!(report.clean(), "{report:?}");
+    assert!(report.truncations > 100 && report.bitflips > 100);
+    assert!(report.prefix_kept > 0 && report.rejected > 0);
+}
+
+#[test]
+fn torn_write_simulator_covers_the_memo_snapshot() {
+    // The memo snapshot shares the journal's record framing, so the same
+    // sweep — header bytes and every bit lane included — must find the
+    // same prefix invariant.
+    let entry = |pairs: Vec<(u64, u64)>, m: usize, verdict: Verdict| MemoEntry {
+        engine: format!("RmTsLight|None|unlimited|false|{}", pairs.len()),
+        pairs,
+        m,
+        outcome: AnalysisOutcome {
+            algorithm: "RM-TS/light".into(),
+            m,
+            verdict,
+        },
+    };
+    let entries = vec![
+        entry(
+            vec![(1, 4), (2, 8), (3, 12)],
+            2,
+            Verdict::Accepted {
+                processors_used: 2,
+                splits: vec![2],
+                exactness: Exactness::Exact,
+            },
+        ),
+        entry(
+            vec![(5, 4)],
+            1,
+            Verdict::Invalid {
+                reason: "invalid task set: wcet exceeds period".into(),
+            },
+        ),
+        entry(
+            vec![(1, 3), (1, 5)],
+            1,
+            Verdict::Accepted {
+                processors_used: 1,
+                splits: vec![],
+                exactness: Exactness::Exact,
+            },
+        ),
+    ];
+    let fp = engine_fingerprint();
+    let image = snapshot_bytes(&fp, &entries).unwrap();
+    let report = torn_write_sweep(&image, &entries, |bytes| read_snapshot_bytes(bytes, &fp));
     assert!(report.clean(), "{report:?}");
     assert!(report.truncations > 100 && report.bitflips > 100);
     assert!(report.prefix_kept > 0 && report.rejected > 0);

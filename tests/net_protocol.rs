@@ -248,7 +248,7 @@ fn kill_restart_serves_warm_from_snapshot() {
             .with_snapshot(snap_path.clone())
     };
     let server = Server::start(cfg()).unwrap();
-    assert_eq!(server.restore_report().restored, 0);
+    assert_eq!(server.restore_report().records, 0);
     let mut client = Client::connect(&server);
     client.send_lines(&reqs);
     let first_life = client.read_lines(reqs.len());
@@ -263,7 +263,7 @@ fn kill_restart_serves_warm_from_snapshot() {
     // Second life: the same questions are all memo hits, and the answers
     // are bit-identical to the first life's.
     let server = Server::start(cfg()).unwrap();
-    assert_eq!(server.restore_report().restored, 4);
+    assert_eq!(server.restore_report().records, 4);
     assert!(!server.restore_report().stale);
     assert!(!server.restore_report().corrupt);
     let mut client = Client::connect(&server);
@@ -309,7 +309,7 @@ fn foreign_fingerprint_snapshot_is_rejected_cold() {
     let report = server.restore_report();
     assert!(report.stale, "foreign fingerprint must read as stale");
     assert_eq!(
-        report.restored, 0,
+        report.records, 0,
         "no entry from a stale snapshot is trusted"
     );
 
