@@ -1,10 +1,12 @@
-//! The uniform builder surface shared by every partitioner.
+//! The settings and uniform builder surface of the splitting engines.
 //!
-//! Historically each algorithm grew its own entry points — `RmTsLight`'s
-//! `with_policy` was a *constructor* while `RmTs`'s was a *builder method*,
-//! and `RmTs::with_bound` was a constructor again. The service layer
-//! (`rmts-svc`) dispatches every algorithm through one code path, which is
-//! only tenable if configuration is spelled identically everywhere:
+//! RM-TS, RM-TS/light and the SPA baselines riding their skeletons carry
+//! the same four settings — admission policy, analysis budget, degradation
+//! ladder, and the ladder's fault-injection threshold — in one
+//! [`Splitting`] block, which also derives each run's
+//! [`AnalysisControl`]. The service layer (`rmts-svc`) dispatches every
+//! algorithm through one code path, which is only tenable if configuration
+//! is spelled identically everywhere:
 //!
 //! ```
 //! use rmts_core::{AdmissionPolicy, Configure, RmTs, RmTsLight, WithBound};
@@ -20,19 +22,54 @@
 //!     .with_degrade(true);
 //! ```
 //!
-//! [`Configure`] carries the settings every budgeted splitting partitioner
-//! shares (admission policy, analysis budget, degradation ladder);
+//! [`Configure`] sets the [`Splitting`] fields through one accessor;
 //! [`WithBound`] is split out because swapping the parametric bound changes
 //! the partitioner's *type* (`RmTs<B> → RmTs<B2>`), which a plain
 //! `fn(self) -> Self` cannot express.
-//!
-//! The pre-redesign constructor spellings (`RmTsLight::with_policy(policy)`,
-//! `RmTs::with_bound(bound)`) survived one release as `#[deprecated]`
-//! associated functions and have since been removed; the chained builder
-//! forms above are the only spellings.
 
 use crate::admission::AdmissionPolicy;
+use crate::ladder::AnalysisControl;
 use rmts_taskmodel::AnalysisBudget;
+
+/// The settings every splitting engine shares.
+#[derive(Debug, Clone, Copy)]
+pub struct Splitting {
+    /// Admission policy: exact RTA reproduces the paper's algorithms; a
+    /// density threshold turns the same skeletons into the \[16\]-style
+    /// SPA1/SPA2 baselines.
+    pub policy: AdmissionPolicy,
+    /// Analysis budget for one `partition()` call. Unlimited by default.
+    pub budget: AnalysisBudget,
+    /// On budget exhaustion, walk the degradation ladder (RTA → TDA →
+    /// `Θ(n)` threshold) instead of rejecting with a typed error.
+    pub degrade: bool,
+    /// Fault-injection override for the ladder's rung-3 threshold (verify
+    /// harness only; `None` = the sound `Θ(n)` default).
+    pub degrade_theta: Option<f64>,
+}
+
+impl Default for Splitting {
+    fn default() -> Self {
+        Splitting {
+            policy: AdmissionPolicy::exact(),
+            budget: AnalysisBudget::unlimited(),
+            degrade: false,
+            degrade_theta: None,
+        }
+    }
+}
+
+impl Splitting {
+    /// A fresh analysis control for one partition run: the budget's meters
+    /// start full, and the ladder follows `degrade` / `degrade_theta`.
+    pub fn control(&self) -> AnalysisControl {
+        let ctl = AnalysisControl::new(self.budget, self.degrade);
+        match self.degrade_theta {
+            Some(theta) => ctl.with_theta_override(theta),
+            None => ctl,
+        }
+    }
+}
 
 /// Chainable configuration shared by the budgeted splitting partitioners
 /// (`RmTs`, `RmTsLight`, and their SPA-style threshold variants).
@@ -40,20 +77,36 @@ use rmts_taskmodel::AnalysisBudget;
 /// Every method takes and returns `self` by value, so configurations chain
 /// from [`new()`](crate::RmTsLight::new) without intermediate bindings.
 pub trait Configure: Sized {
+    /// The partitioner's [`Splitting`] settings, which the builder methods
+    /// below write.
+    fn splitting_mut(&mut self) -> &mut Splitting;
+
     /// Overrides the admission policy (exact RTA by default; a density
     /// threshold turns the same skeleton into the \[16\]-style baselines).
-    fn with_policy(self, policy: AdmissionPolicy) -> Self;
+    fn with_policy(mut self, policy: AdmissionPolicy) -> Self {
+        self.splitting_mut().policy = policy;
+        self
+    }
 
     /// Caps the analysis work of each `partition()` call.
-    fn with_budget(self, budget: AnalysisBudget) -> Self;
+    fn with_budget(mut self, budget: AnalysisBudget) -> Self {
+        self.splitting_mut().budget = budget;
+        self
+    }
 
     /// Enables (or disables) the degradation ladder on budget exhaustion.
-    fn with_degrade(self, degrade: bool) -> Self;
+    fn with_degrade(mut self, degrade: bool) -> Self {
+        self.splitting_mut().degrade = degrade;
+        self
+    }
 
     /// Fault injection: overrides the ladder's rung-3 density threshold.
     /// `θ = 1.0` deliberately manufactures unsound degraded accepts for the
     /// verify harness; production callers must leave this unset.
-    fn with_degrade_theta(self, theta: f64) -> Self;
+    fn with_degrade_theta(mut self, theta: f64) -> Self {
+        self.splitting_mut().degrade_theta = Some(theta);
+        self
+    }
 }
 
 /// Chainable bound selection for partitioners parameterized by a

@@ -1,22 +1,37 @@
-//! The shared partitioning skeleton (paper Algorithms 1–2, reused by
-//! phases 2–3 of Algorithm 3).
+//! The shared splitting engine (paper Algorithms 1–2, reused by phases 2–3
+//! of Algorithm 3).
 //!
-//! A *phase* repeatedly takes the next work item (a task, or the remainder
-//! of a task already partially split), selects an eligible processor, and
-//! calls `Assign`: admit the whole remaining budget if it fits, otherwise
-//! place the `MaxSplit` first part and mark the processor full. The work
-//! queue survives across phases, so a task may be split across RM-TS's
-//! normal and pre-assigned processors exactly as the paper's pseudo-code
-//! allows.
+//! RM-TS/light and RM-TS are two pipelines over this module. Each supplies
+//! its [`Splitting`] settings and one partition run; the blanket
+//! [`Partitioner`] and [`Repartitioner`] impls here derive every entry
+//! point from those — the plain, traced and guided runs, the budget and
+//! replay gates, and the `core.session.*` step counters exist once for
+//! both. Only RM-TS/light adds the WCET splice (`try_splice`).
+//!
+//! A *phase* ([`run_phase`]) repeatedly takes the next work item (a task,
+//! or the remainder of a task already partially split), selects an
+//! eligible processor, and calls `Assign`: admit the whole remaining budget
+//! if it fits, otherwise place the `MaxSplit` first part and mark the
+//! processor full. The work queue survives across phases, so a task may be
+//! split across RM-TS's normal and pre-assigned processors exactly as the
+//! paper's pseudo-code allows. One `Assign` step serves the phase loop and
+//! the splice, and a sibling applies a recorded step under guided replay;
+//! one rejection builder ends every run whose last phase failed or left
+//! work behind.
 
 use crate::admission::AdmissionPolicy;
-use crate::ladder::AnalysisControl;
-use crate::partition::Partition;
+use crate::config::Splitting;
+use crate::ladder::{AnalysisControl, Exactness};
+use crate::partition::{Partition, PartitionPhase, PartitionReject, PartitionResult, Partitioner};
 use crate::processor::ProcessorState;
-use crate::session::{Guide, ItemTrace, SessionTrace, StepEvent};
+use crate::session::{
+    replayable, Guide, ItemTrace, PriorRun, RepartitionPath, Repartitioner, SessionTrace, StepEvent,
+};
 use crate::workspace::PartitionWorkspace;
 use rmts_rta::budget::NewcomerSpec;
-use rmts_taskmodel::{AnalysisError, ModelError, SplitPlan, SubtaskKind, TaskId, TaskSet, Time};
+use rmts_taskmodel::{
+    AnalysisError, ModelError, SplitPlan, Subtask, SubtaskKind, TaskId, TaskSet, Time,
+};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -74,23 +89,158 @@ impl EngineError {
             EngineFault::Model(_) => None,
         }
     }
+
+    fn model(task: TaskId, cause: ModelError) -> Self {
+        EngineError {
+            task,
+            cause: EngineFault::Model(cause),
+        }
+    }
+
+    fn budget(task: TaskId, cause: AnalysisError) -> Self {
+        EngineError {
+            task,
+            cause: EngineFault::Budget(cause),
+        }
+    }
 }
 
-/// Builds the phase work queue: the given tasks in **increasing priority
-/// order** (paper Algorithm 1, line 1 — lowest priority first).
-pub fn queue_increasing_priority(
-    ts: &TaskSet,
-    include: impl Fn(TaskId) -> bool,
-) -> VecDeque<SplitPlan> {
-    let mut queue = VecDeque::new();
-    queue_increasing_priority_into(ts, include, &mut queue);
-    queue
+/// One splitting pipeline: its settings and its partition run. The blanket
+/// impls below derive every [`Partitioner`] and [`Repartitioner`] entry
+/// point from it.
+pub(crate) trait SplittingEngine: Send + Sync {
+    /// The algorithm name ([`Partitioner::name`]).
+    fn engine_name(&self) -> String;
+
+    /// The run's admission policy, budget and degradation settings.
+    fn splitting(&self) -> &Splitting;
+
+    /// One partition run. `guide` adds trace recording and guided replay
+    /// (see [`crate::session`]) without changing any placement decision.
+    fn run(
+        &self,
+        ts: &TaskSet,
+        m: usize,
+        ws: &mut PartitionWorkspace,
+        guide: Option<&mut Guide<'_>>,
+    ) -> PartitionResult;
+
+    /// The WCET splice ([`try_splice`]) of a replayable apply, or `None` to
+    /// take guided replay. Engines with reserved phases keep this default:
+    /// the splice cannot prove reserved placements unchanged.
+    fn splice(
+        &self,
+        _prior: &PriorRun<'_>,
+        _ts: &TaskSet,
+        _m: usize,
+        _ws: &mut PartitionWorkspace,
+        _trace: &mut SessionTrace,
+    ) -> Option<Partition> {
+        None
+    }
 }
 
-/// Allocation-recycling form of [`queue_increasing_priority`]: clears
-/// `out` and fills it with the identical deque (front = lowest priority),
-/// reusing its capacity. Used by the workspace-backed partition entry
-/// points.
+impl<E: SplittingEngine> Partitioner for E {
+    fn name(&self) -> String {
+        self.engine_name()
+    }
+
+    fn partition(&self, ts: &TaskSet, m: usize) -> PartitionResult {
+        // Single code path: a fresh workspace makes this identical to the
+        // historical scratch run (same allocations, same results).
+        self.partition_with(ts, m, &mut PartitionWorkspace::new())
+    }
+
+    fn partition_with(
+        &self,
+        ts: &TaskSet,
+        m: usize,
+        ws: &mut PartitionWorkspace,
+    ) -> PartitionResult {
+        self.run(ts, m, ws, None)
+    }
+}
+
+impl<E: SplittingEngine> Repartitioner for E {
+    fn partition_traced(
+        &self,
+        ts: &TaskSet,
+        m: usize,
+        ws: &mut PartitionWorkspace,
+        trace: &mut SessionTrace,
+    ) -> PartitionResult {
+        if !self.splitting().budget.is_unlimited() {
+            // A metered run's verdicts depend on meter state, which does
+            // not align across runs: leave the trace unsupported so every
+            // apply re-partitions in full.
+            trace.reset();
+            return self.run(ts, m, ws, None);
+        }
+        self.run(ts, m, ws, Some(&mut Guide::record(trace)))
+    }
+
+    fn repartition(
+        &self,
+        prior: PriorRun<'_>,
+        ts: &TaskSet,
+        m: usize,
+        ws: &mut PartitionWorkspace,
+        trace: &mut SessionTrace,
+    ) -> (PartitionResult, RepartitionPath) {
+        if !self.splitting().budget.is_unlimited() || !replayable(prior.trace, m) {
+            return (
+                self.partition_traced(ts, m, ws, trace),
+                RepartitionPath::Full,
+            );
+        }
+        if let Some(partition) = self.splice(&prior, ts, m, ws, trace) {
+            return (Ok(partition), RepartitionPath::Incremental);
+        }
+        let mut guide = Guide::guided(trace, prior.trace, m);
+        let result = self.run(ts, m, ws, Some(&mut guide));
+        let (reused, live) = guide.step_counts();
+        rmts_obs::count("core.session.reused_steps", reused);
+        rmts_obs::count("core.session.live_steps", live);
+        (result, RepartitionPath::Incremental)
+    }
+}
+
+/// Ends a splitting run after its last queue phase: the partition when
+/// `outcome` is `Ok` and `queue` is empty, otherwise the rejection of
+/// `phase`. The rejection names the failed task (or, when every eligible
+/// processor filled up, the queue's front) and lists the leftover queue as
+/// unassigned.
+pub(crate) fn finish(
+    phase: PartitionPhase,
+    outcome: Result<(), EngineError>,
+    queue: &VecDeque<SplitPlan>,
+    processors: Vec<ProcessorState>,
+    sealed: Vec<SplitPlan>,
+    exactness: Exactness,
+) -> PartitionResult {
+    let partial = Partition::new(processors, sealed).with_exactness(exactness);
+    if outcome.is_ok() && queue.is_empty() {
+        return Ok(partial);
+    }
+    let mut unassigned: Vec<TaskId> = queue.iter().map(|p| p.task().id).collect();
+    let (task, reason, analysis) = match outcome {
+        Ok(()) => (
+            unassigned.first().copied(),
+            "all processors full with tasks remaining".to_string(),
+            None,
+        ),
+        Err(e) => {
+            unassigned.push(e.task);
+            let reason = format!("placement of {} failed: {}", e.task, e.cause);
+            (Some(e.task), reason, e.analysis())
+        }
+    };
+    Err(PartitionReject::new(phase, task, unassigned, partial, reason).with_analysis(analysis))
+}
+
+/// Fills the phase work queue `out` (cleared first, capacity reused) with
+/// the tasks `include` admits in **increasing priority order** (paper
+/// Algorithm 1, line 1 — lowest priority at the front).
 pub fn queue_increasing_priority_into(
     ts: &TaskSet,
     include: impl Fn(TaskId) -> bool,
@@ -106,27 +256,6 @@ pub fn queue_increasing_priority_into(
     }
 }
 
-/// Picks the next processor for a phase, or `None` when every eligible
-/// processor is full.
-pub fn pick_processor(
-    processors: &[ProcessorState],
-    eligible: &dyn Fn(&ProcessorState) -> bool,
-    select: Select,
-) -> Option<usize> {
-    let candidates = processors.iter().filter(|p| !p.full && eligible(p));
-    match select {
-        Select::WorstFit => candidates
-            .min_by(|a, b| {
-                a.utilization()
-                    .total_cmp(&b.utilization())
-                    .then(a.index.cmp(&b.index))
-            })
-            .map(|p| p.index),
-        Select::LargestIndexFirstFit => candidates.map(|p| p.index).max(),
-        Select::SmallestIndexFirstFit => candidates.map(|p| p.index).min(),
-    }
-}
-
 /// Sentinel selection key for a full or phase-ineligible processor. No
 /// candidate key can collide with it: candidate keys are `to_bits` of
 /// finite non-negative utilizations, all below the NaN bit patterns.
@@ -134,15 +263,35 @@ const CLOSED: u64 = u64::MAX;
 
 /// Selection key for a candidate processor: the IEEE-754 bit pattern of
 /// its utilization. For non-negative floats `to_bits` is strictly
-/// monotone in `total_cmp` order, so an integer minimum scan replicates
-/// [`pick_processor`]'s worst-fit comparator exactly (ties on
-/// utilization resolve to the smaller index, because the scan keeps the
-/// first strict minimum). Adding `0.0` first normalizes the `-0.0` an
-/// empty workload sums to — `-0.0` has the sign bit set and would
-/// otherwise order *above* every positive utilization.
+/// monotone in `total_cmp` order, so an integer minimum scan is a
+/// worst-fit by utilization (ties resolve to the smaller index, because
+/// the scan keeps the first strict minimum). Adding `0.0` first normalizes
+/// the `-0.0` an empty workload sums to — `-0.0` has the sign bit set and
+/// would otherwise order *above* every positive utilization.
 #[inline]
 fn selection_key(utilization: f64) -> u64 {
     (utilization + 0.0).to_bits()
+}
+
+/// A phase's selection keys: one per processor, the utilization key of an
+/// open processor `eligible` admits and [`CLOSED`] for the rest.
+/// `eligible` is evaluated **once per phase** per processor, which is
+/// equivalent to re-checking it per placement because every in-tree
+/// eligibility rule depends only on phase-stable state (role, index);
+/// fullness is tracked in the keys as it changes.
+fn fill_keys(
+    keys: &mut Vec<u64>,
+    processors: &[ProcessorState],
+    eligible: &dyn Fn(&ProcessorState) -> bool,
+) {
+    keys.clear();
+    keys.extend(processors.iter().map(|p| {
+        if !p.full && eligible(p) {
+            selection_key(p.utilization())
+        } else {
+            CLOSED
+        }
+    }));
 }
 
 /// Selection over the compact key cache ([`CLOSED`] marks
@@ -167,6 +316,146 @@ fn pick_cached(utils: &[u64], select: Select) -> Option<usize> {
     }
 }
 
+/// The next piece of a work item, as the admission tests see it.
+struct Piece {
+    /// Parent, period, synthetic deadline (Eq. (1)) and priority.
+    spec: NewcomerSpec,
+    /// The item's whole remaining budget.
+    cap: Time,
+    /// The piece's 1-based sequence number within its task.
+    seq: u32,
+}
+
+impl Piece {
+    fn of(plan: &SplitPlan) -> Result<Piece, EngineError> {
+        let task = plan.task();
+        let deadline = plan
+            .next_deadline()
+            .map_err(|e| EngineError::model(task.id, e))?;
+        Ok(Piece {
+            spec: NewcomerSpec {
+                parent: task.id,
+                period: task.period,
+                deadline,
+                priority: plan.priority(),
+            },
+            cap: plan.remaining(),
+            seq: (plan.body_count() + 1) as u32,
+        })
+    }
+
+    /// The piece carrying the whole remaining budget: the item's tail, or
+    /// the whole task if it was never split.
+    fn sealing(&self, plan: &SplitPlan) -> Subtask {
+        let kind = if plan.is_split() {
+            SubtaskKind::Tail
+        } else {
+            SubtaskKind::Whole
+        };
+        self.spec.with_budget(self.cap, self.seq, kind)
+    }
+
+    /// A `MaxSplit` body piece of `x` ticks.
+    fn body(&self, x: Time) -> Subtask {
+        self.spec
+            .with_budget(x, self.seq, SubtaskKind::Body(self.seq))
+    }
+}
+
+/// Paper `Assign`, one live step of `plan` on `proc`: seals the item there
+/// if its whole remaining budget fits, otherwise places the `MaxSplit`
+/// body (when a positive one fits) and closes the processor. Keeps `key`,
+/// the processor's selection key, in step and returns the step's event.
+fn assign(
+    proc: &mut ProcessorState,
+    key: &mut u64,
+    plan: &mut SplitPlan,
+    piece: &Piece,
+    policy: &AdmissionPolicy,
+    ctl: &AnalysisControl,
+) -> Result<StepEvent, EngineError> {
+    let (q, task) = (proc.index, piece.spec.parent);
+    let fits = policy
+        .fits_whole(proc, &piece.spec, piece.cap, ctl)
+        .map_err(|e| EngineError::budget(task, e))?;
+    if fits {
+        proc.push(piece.sealing(plan));
+        let response = policy.record_response(proc, proc.len() - 1, ctl);
+        *key = selection_key(proc.utilization());
+        plan.seal_tail(q, response)
+            .map_err(|e| EngineError::model(task, e))?;
+        rmts_obs::count("core.engine.whole_assignments", 1);
+        return Ok(StepEvent::Sealed { proc: q, response });
+    }
+    // MaxSplit: place the largest feasible first part, then close the
+    // processor (Definition 3 guarantees a bottleneck exists).
+    let x = {
+        let _span = rmts_obs::span("core.phase.maxsplit_ns");
+        policy.max_budget(proc, &piece.spec, piece.cap, ctl)
+    }
+    .map_err(|e| EngineError::budget(task, e))?;
+    // With a single operative test, `fits_whole == false` implies
+    // `x < cap`. Mixed-rung verdicts under a degrading budget can nominate
+    // `x == cap` (fits decided on one rung, the budget on a cheaper one);
+    // MaxSplit semantics require a strict split, so clamp — a no-op on the
+    // exact path.
+    let x = x.min(piece.cap - Time::new(1));
+    let mut body = None;
+    if !x.is_zero() {
+        proc.push(piece.body(x));
+        let response = policy.record_response(proc, proc.len() - 1, ctl);
+        plan.push_body(x, q, response)
+            .map_err(|e| EngineError::model(task, e))?;
+        rmts_obs::count("core.engine.splits", 1);
+        body = Some((x, response));
+    }
+    close(proc, key);
+    Ok(StepEvent::Closed { proc: q, body })
+}
+
+/// [`assign`]'s guided-replay sibling: applies `ev`, the recorded outcome
+/// of this exact step on a clean processor. Subtasks are rebuilt from the
+/// *new* piece (priorities may have been relabeled); only the admission
+/// verdict, budget and response time are reused — values RTA would
+/// reproduce, since it depends only on the workload's relative order and
+/// `(C, T, Δ)`.
+fn replay(
+    proc: &mut ProcessorState,
+    key: &mut u64,
+    plan: &mut SplitPlan,
+    piece: &Piece,
+    ev: StepEvent,
+) -> Result<(), EngineError> {
+    let (q, task) = (proc.index, piece.spec.parent);
+    match ev {
+        StepEvent::Sealed { response, .. } => {
+            proc.push_uncached(piece.sealing(plan));
+            *key = selection_key(proc.utilization());
+            plan.seal_tail(q, response)
+                .map_err(|e| EngineError::model(task, e))?;
+            rmts_obs::count("core.engine.whole_assignments", 1);
+        }
+        StepEvent::Closed { body, .. } => {
+            if let Some((x, response)) = body {
+                proc.push_uncached(piece.body(x));
+                plan.push_body(x, q, response)
+                    .map_err(|e| EngineError::model(task, e))?;
+                rmts_obs::count("core.engine.splits", 1);
+            }
+            close(proc, key);
+        }
+    }
+    rmts_obs::count("core.engine.replayed_steps", 1);
+    Ok(())
+}
+
+/// Marks `proc` full and takes it out of selection.
+fn close(proc: &mut ProcessorState, key: &mut u64) {
+    proc.full = true;
+    *key = CLOSED;
+    rmts_obs::count("core.engine.processors_closed", 1);
+}
+
 /// Runs one assignment phase. Work items are consumed from the front of
 /// `queue`; fully placed plans are appended to `sealed`. The phase ends
 /// when the queue is empty or no eligible processor remains non-full
@@ -178,12 +467,8 @@ fn pick_cached(utils: &[u64], select: Select) -> Option<usize> {
 ///
 /// `utils` is the phase's selection scratch (any `Vec`; the workspace
 /// lends its recycled one). Candidate selection reads one contiguous
-/// integer key per processor (see `selection_key`) instead of
-/// re-scanning the processor structs on every placement — `eligible` is
-/// therefore evaluated **once per phase** per processor, which is
-/// equivalent because every in-tree eligibility rule depends only on
-/// phase-stable state (role, index); fullness is tracked in the cache as
-/// it changes.
+/// integer key per processor (see `fill_keys`) instead of re-scanning the
+/// processor structs on every placement.
 ///
 /// `guide` (see [`crate::session`]) records every placement decision and,
 /// in guided mode, substitutes recorded outcomes for RTA probes when the
@@ -202,15 +487,8 @@ pub fn run_phase(
     utils: &mut Vec<u64>,
     mut guide: Option<&mut Guide<'_>>,
 ) -> Result<(), EngineError> {
-    utils.clear();
-    utils.extend(processors.iter().map(|p| {
-        if !p.full && eligible(p) {
-            selection_key(p.utilization())
-        } else {
-            CLOSED
-        }
-    }));
-    while !queue.is_empty() {
+    fill_keys(utils, processors, eligible);
+    while let Some(plan) = queue.front_mut() {
         let picked = {
             let _span = rmts_obs::span("core.phase.candidate_scan_ns");
             pick_cached(utils, select)
@@ -218,128 +496,26 @@ pub fn run_phase(
         let Some(q) = picked else {
             return Ok(()); // all eligible processors full; leftovers remain
         };
-        // Invariant: the loop guard checked `!queue.is_empty()`, so a front
-        // element exists (both here and at the `pop_front` below).
-        let plan = queue.front_mut().expect("queue checked non-empty");
         if let Some(g) = guide.as_deref_mut() {
             g.align_front(plan);
         }
-        let deadline = plan.next_deadline().map_err(|cause| EngineError {
-            task: plan.task().id,
-            cause: EngineFault::Model(cause),
-        })?;
-        let spec = NewcomerSpec {
-            parent: plan.task().id,
-            period: plan.task().period,
-            deadline,
-            priority: plan.priority(),
+        let piece = Piece::of(plan)?;
+        let (proc, key) = (&mut processors[q], &mut utils[q]);
+        let ev = match guide.as_deref_mut().and_then(|g| g.try_reuse(q)) {
+            Some(ev) => {
+                replay(proc, key, plan, &piece, ev)?;
+                ev
+            }
+            None => {
+                let ev = assign(proc, key, plan, &piece, policy, ctl)?;
+                if let Some(g) = guide.as_deref_mut() {
+                    g.on_live(ev);
+                }
+                ev
+            }
         };
-        let cap = plan.remaining();
-        let seq = (plan.body_count() + 1) as u32;
-        if let Some(ev) = guide.as_deref_mut().and_then(|g| g.try_reuse(q)) {
-            // Guided replay: the recorded outcome of this exact step on a
-            // clean processor. Subtasks are rebuilt with the *new* spec
-            // (priorities may have been relabeled); only the admission
-            // verdict, budget, and response time are reused — values RTA
-            // would reproduce, since it depends only on the workload's
-            // relative order and `(C, T, Δ)`.
-            let proc = &mut processors[q];
-            match ev {
-                StepEvent::Sealed { response, .. } => {
-                    let kind = if plan.is_split() {
-                        SubtaskKind::Tail
-                    } else {
-                        SubtaskKind::Whole
-                    };
-                    proc.push_uncached(spec.with_budget(cap, seq, kind));
-                    utils[q] = selection_key(proc.utilization());
-                    plan.seal_tail(q, response).map_err(|cause| EngineError {
-                        task: spec.parent,
-                        cause: EngineFault::Model(cause),
-                    })?;
-                    sealed.push(queue.pop_front().expect("front exists"));
-                    rmts_obs::count("core.engine.whole_assignments", 1);
-                }
-                StepEvent::Closed { body, .. } => {
-                    if let Some((x, response)) = body {
-                        proc.push_uncached(spec.with_budget(x, seq, SubtaskKind::Body(seq)));
-                        plan.push_body(x, q, response)
-                            .map_err(|cause| EngineError {
-                                task: spec.parent,
-                                cause: EngineFault::Model(cause),
-                            })?;
-                        rmts_obs::count("core.engine.splits", 1);
-                    }
-                    proc.full = true;
-                    utils[q] = CLOSED;
-                    rmts_obs::count("core.engine.processors_closed", 1);
-                }
-            }
-            rmts_obs::count("core.engine.replayed_steps", 1);
-            continue;
-        }
-        let proc = &mut processors[q];
-        let fits = policy
-            .fits_whole(proc, &spec, cap, ctl)
-            .map_err(|e| EngineError {
-                task: spec.parent,
-                cause: EngineFault::Budget(e),
-            })?;
-        if fits {
-            // The entire remaining budget fits: this piece is the tail (or
-            // the whole task if never split).
-            let kind = if plan.is_split() {
-                SubtaskKind::Tail
-            } else {
-                SubtaskKind::Whole
-            };
-            proc.push(spec.with_budget(cap, seq, kind));
-            let response = policy.record_response(proc, proc.len() - 1, ctl);
-            utils[q] = selection_key(proc.utilization());
-            plan.seal_tail(q, response).map_err(|cause| EngineError {
-                task: spec.parent,
-                cause: EngineFault::Model(cause),
-            })?;
+        if let StepEvent::Sealed { .. } = ev {
             sealed.push(queue.pop_front().expect("front exists"));
-            rmts_obs::count("core.engine.whole_assignments", 1);
-            if let Some(g) = guide.as_deref_mut() {
-                g.on_live(StepEvent::Sealed { proc: q, response });
-            }
-        } else {
-            // MaxSplit: place the largest feasible first part, then close
-            // the processor (Definition 3 guarantees a bottleneck exists).
-            let x = {
-                let _span = rmts_obs::span("core.phase.maxsplit_ns");
-                policy.max_budget(proc, &spec, cap, ctl)
-            }
-            .map_err(|e| EngineError {
-                task: spec.parent,
-                cause: EngineFault::Budget(e),
-            })?;
-            // With a single operative test, `fits_whole == false` implies
-            // `x < cap`. Mixed-rung verdicts under a degrading budget can
-            // nominate `x == cap` (fits decided on one rung, the budget on a
-            // cheaper one); MaxSplit semantics require a strict split, so
-            // clamp — a no-op on the exact path.
-            let x = x.min(cap - rmts_taskmodel::Time::new(1));
-            let mut body = None;
-            if !x.is_zero() {
-                proc.push(spec.with_budget(x, seq, SubtaskKind::Body(seq)));
-                let response = policy.record_response(proc, proc.len() - 1, ctl);
-                plan.push_body(x, q, response)
-                    .map_err(|cause| EngineError {
-                        task: spec.parent,
-                        cause: EngineFault::Model(cause),
-                    })?;
-                rmts_obs::count("core.engine.splits", 1);
-                body = Some((x, response));
-            }
-            proc.full = true;
-            utils[q] = CLOSED;
-            rmts_obs::count("core.engine.processors_closed", 1);
-            if let Some(g) = guide.as_deref_mut() {
-                g.on_live(StepEvent::Closed { proc: q, body });
-            }
         }
     }
     Ok(())
@@ -470,18 +646,16 @@ impl SpliceState {
 /// reserved placements, rejects, engine errors, trace inconsistencies —
 /// returns `None`, and the caller falls back to the guided loop (which
 /// reproduces diagnostics through the shared code path).
-#[allow(clippy::too_many_arguments)] // mirrors run_phase: engine knobs + prior state + trace sink
 pub(crate) fn try_splice(
     ts: &TaskSet,
     m: usize,
     ws: &mut PartitionWorkspace,
-    policy: &AdmissionPolicy,
-    ctl: &AnalysisControl,
+    splitting: &Splitting,
     select: Select,
-    prior_partition: &Partition,
-    prior_trace: &SessionTrace,
+    prior: &PriorRun<'_>,
     rec: &mut SessionTrace,
 ) -> Option<Partition> {
+    let (prior_partition, prior_trace) = (prior.partition, prior.trace);
     if select != Select::WorstFit || prior_trace.has_reserved() {
         return None;
     }
@@ -505,13 +679,14 @@ pub(crate) fn try_splice(
     let mut st = SpliceState::new(ws.take_processors(m));
     rec.reset();
     rec.set_supported();
+    let ctl = splitting.control();
     match splice_run(
         &mut st,
         &mut ws.queue,
         items,
         prior_partition,
-        policy,
-        ctl,
+        &splitting.policy,
+        &ctl,
         rec,
     ) {
         Some(patches) => {
@@ -642,9 +817,9 @@ fn splice_run(
 }
 
 /// Runs one item's remaining placements live against materialized
-/// processors — the same admission sequence as [`run_phase`]'s live
-/// branch. Returns `None` (bail to guided) on a reject or engine error;
-/// the guided fallback reproduces the diagnostics identically.
+/// processors, through the same [`assign`] step as [`run_phase`]. Returns
+/// `None` (bail to guided) on a reject or engine error; the guided
+/// fallback reproduces the diagnostics identically.
 fn splice_item_live(
     st: &mut SpliceState,
     prior: &Partition,
@@ -660,46 +835,21 @@ fn splice_item_live(
         }
         st.mark_dirty(q);
         st.live_steps += 1;
-        let deadline = plan.next_deadline().ok()?;
-        let spec = NewcomerSpec {
-            parent: plan.task().id,
-            period: plan.task().period,
-            deadline,
-            priority: plan.priority(),
-        };
-        let cap = plan.remaining();
-        let seq = (plan.body_count() + 1) as u32;
-        let proc = &mut st.procs[q];
-        let fits = policy.fits_whole(proc, &spec, cap, ctl).ok()?;
-        if fits {
-            let kind = if plan.is_split() {
-                SubtaskKind::Tail
-            } else {
-                SubtaskKind::Whole
-            };
-            proc.push(spec.with_budget(cap, seq, kind));
-            let response = policy.record_response(proc, proc.len() - 1, ctl);
-            st.utils[q] = selection_key(st.procs[q].utilization());
-            plan.seal_tail(q, response).ok()?;
-            rec.push_event(StepEvent::Sealed { proc: q, response });
-            rmts_obs::count("core.engine.whole_assignments", 1);
-            return Some(());
+        let piece = Piece::of(plan).ok()?;
+        let ev = assign(
+            &mut st.procs[q],
+            &mut st.utils[q],
+            plan,
+            &piece,
+            policy,
+            ctl,
+        )
+        .ok()?;
+        rec.push_event(ev);
+        match ev {
+            StepEvent::Sealed { .. } => return Some(()),
+            StepEvent::Closed { .. } => st.fullv[q] = true,
         }
-        let x = policy.max_budget(proc, &spec, cap, ctl).ok()?;
-        let x = x.min(cap - Time::new(1));
-        let mut body = None;
-        if !x.is_zero() {
-            proc.push(spec.with_budget(x, seq, SubtaskKind::Body(seq)));
-            let response = policy.record_response(proc, proc.len() - 1, ctl);
-            plan.push_body(x, q, response).ok()?;
-            rmts_obs::count("core.engine.splits", 1);
-            body = Some((x, response));
-        }
-        st.procs[q].full = true;
-        st.utils[q] = CLOSED;
-        st.fullv[q] = true;
-        rmts_obs::count("core.engine.processors_closed", 1);
-        rec.push_event(StepEvent::Closed { proc: q, body });
     }
 }
 
@@ -714,6 +864,23 @@ mod tests {
         (0..n).map(ProcessorState::new).collect()
     }
 
+    fn queue(ts: &TaskSet, include: impl Fn(TaskId) -> bool) -> VecDeque<SplitPlan> {
+        let mut q = VecDeque::new();
+        queue_increasing_priority_into(ts, include, &mut q);
+        q
+    }
+
+    /// The live selector over a phase's key fill.
+    fn pick(
+        ps: &[ProcessorState],
+        eligible: &dyn Fn(&ProcessorState) -> bool,
+        select: Select,
+    ) -> Option<usize> {
+        let mut keys = Vec::new();
+        fill_keys(&mut keys, ps, eligible);
+        pick_cached(&keys, select)
+    }
+
     #[test]
     fn queue_orders_lowest_priority_first() {
         let ts = TaskSetBuilder::new()
@@ -722,7 +889,7 @@ mod tests {
             .task(1, 16)
             .build()
             .unwrap();
-        let q = queue_increasing_priority(&ts, |_| true);
+        let q = queue(&ts, |_| true);
         let periods: Vec<u64> = q.iter().map(|p| p.task().period.ticks()).collect();
         assert_eq!(periods, vec![16, 8, 4]);
     }
@@ -730,13 +897,15 @@ mod tests {
     #[test]
     fn queue_filter() {
         let ts = TaskSetBuilder::new().task(1, 4).task(1, 8).build().unwrap();
-        let q = queue_increasing_priority(&ts, |id| id.0 == 1);
+        let q = queue(&ts, |id| id.0 == 1);
         assert_eq!(q.len(), 1);
         assert_eq!(q[0].task().id.0, 1);
     }
 
     #[test]
     fn worst_fit_balances() {
+        // P1 and P2 are empty, so their utilization sums to `-0.0`: the
+        // selection key must still order them below P0's 0.5.
         let mut ps = procs(3);
         ps[0].push(rmts_taskmodel::Subtask {
             parent: TaskId(9),
@@ -747,9 +916,9 @@ mod tests {
             deadline: Time::new(2),
             priority: rmts_taskmodel::Priority(0),
         });
-        assert_eq!(pick_processor(&ps, &|_| true, Select::WorstFit), Some(1));
+        assert_eq!(pick(&ps, &|_| true, Select::WorstFit), Some(1));
         ps[1].full = true;
-        assert_eq!(pick_processor(&ps, &|_| true, Select::WorstFit), Some(2));
+        assert_eq!(pick(&ps, &|_| true, Select::WorstFit), Some(2));
     }
 
     #[test]
@@ -765,37 +934,24 @@ mod tests {
             priority: rmts_taskmodel::Priority(0),
         });
         // Unlike worst-fit, first-fit sticks with P0 while it is non-full.
-        assert_eq!(
-            pick_processor(&ps, &|_| true, Select::SmallestIndexFirstFit),
-            Some(0)
-        );
+        assert_eq!(pick(&ps, &|_| true, Select::SmallestIndexFirstFit), Some(0));
         ps[0].full = true;
-        assert_eq!(
-            pick_processor(&ps, &|_| true, Select::SmallestIndexFirstFit),
-            Some(1)
-        );
+        assert_eq!(pick(&ps, &|_| true, Select::SmallestIndexFirstFit), Some(1));
     }
 
     #[test]
     fn largest_index_first_fit() {
         let mut ps = procs(4);
-        assert_eq!(
-            pick_processor(&ps, &|_| true, Select::LargestIndexFirstFit),
-            Some(3)
-        );
+        assert_eq!(pick(&ps, &|_| true, Select::LargestIndexFirstFit), Some(3));
         ps[3].full = true;
-        assert_eq!(
-            pick_processor(&ps, &|_| true, Select::LargestIndexFirstFit),
-            Some(2)
-        );
+        assert_eq!(pick(&ps, &|_| true, Select::LargestIndexFirstFit), Some(2));
     }
 
     #[test]
     fn eligibility_filters() {
         let mut ps = procs(2);
         ps[0].role = ProcessorRole::PreAssigned;
-        let only_normal =
-            pick_processor(&ps, &|p| p.role == ProcessorRole::Normal, Select::WorstFit);
+        let only_normal = pick(&ps, &|p| p.role == ProcessorRole::Normal, Select::WorstFit);
         assert_eq!(only_normal, Some(1));
     }
 
@@ -804,7 +960,7 @@ mod tests {
         let mut ps = procs(2);
         ps[0].full = true;
         ps[1].full = true;
-        assert_eq!(pick_processor(&ps, &|_| true, Select::WorstFit), None);
+        assert_eq!(pick(&ps, &|_| true, Select::WorstFit), None);
     }
 
     #[test]
@@ -817,7 +973,7 @@ mod tests {
             .build()
             .unwrap();
         let mut ps = procs(2);
-        let mut q = queue_increasing_priority(&ts, |_| true);
+        let mut q = queue(&ts, |_| true);
         let mut sealed = Vec::new();
         run_phase(
             &mut ps,
@@ -850,7 +1006,7 @@ mod tests {
             .build()
             .unwrap();
         let mut ps = procs(2);
-        let mut q = queue_increasing_priority(&ts, |_| true);
+        let mut q = queue(&ts, |_| true);
         let mut sealed = Vec::new();
         run_phase(
             &mut ps,
@@ -890,7 +1046,7 @@ mod tests {
             .build()
             .unwrap();
         let mut ps = procs(2);
-        let mut q = queue_increasing_priority(&ts, |_| true);
+        let mut q = queue(&ts, |_| true);
         let mut sealed = Vec::new();
         let ctl = AnalysisControl::new(AnalysisBudget::unlimited().with_max_iterations(0), true);
         run_phase(
@@ -933,7 +1089,7 @@ mod tests {
             .build()
             .unwrap();
         let mut ps = procs(2);
-        let mut q = queue_increasing_priority(&ts, |_| true);
+        let mut q = queue(&ts, |_| true);
         let mut sealed = Vec::new();
         let ctl = AnalysisControl::new(AnalysisBudget::unlimited().with_max_probes(0), true);
         run_phase(
@@ -959,7 +1115,7 @@ mod tests {
     fn budget_exhaustion_without_degrade_is_a_typed_error() {
         let ts = TaskSetBuilder::new().task(1, 4).task(2, 8).build().unwrap();
         let mut ps = procs(2);
-        let mut q = queue_increasing_priority(&ts, |_| true);
+        let mut q = queue(&ts, |_| true);
         let mut sealed = Vec::new();
         let ctl = AnalysisControl::new(AnalysisBudget::unlimited().with_max_iterations(0), false);
         let err = run_phase(
@@ -992,7 +1148,7 @@ mod tests {
             .build()
             .unwrap();
         let mut ps = procs(2);
-        let mut q = queue_increasing_priority(&ts, |_| true);
+        let mut q = queue(&ts, |_| true);
         let mut sealed = Vec::new();
         run_phase(
             &mut ps,

@@ -20,9 +20,10 @@
 //!   `Spa2`) that use utilization/density thresholds instead of exact RTA —
 //!   precisely the difference the paper's average-case claims hinge on.
 //!
-//! The algorithmic skeleton shared by the splitting partitioners is in
-//! [`engine`], parameterized by an [`admission::AdmissionPolicy`]; `MaxSplit`
-//! (Definition 3) lives in [`maxsplit`].
+//! The splitting engine shared by RM-TS, RM-TS/light and the SPA baselines
+//! is in [`engine`], configured by one [`Splitting`] block (an
+//! [`admission::AdmissionPolicy`], the analysis budget and the degradation
+//! ladder); `MaxSplit` (Definition 3) lives in [`maxsplit`].
 //!
 //! ```
 //! use rmts_core::{Partitioner, RmTsLight};
@@ -63,7 +64,7 @@ pub mod workspace;
 
 pub use admission::AdmissionPolicy;
 pub use audit::{audit, AuditError};
-pub use config::{Configure, WithBound};
+pub use config::{Configure, Splitting, WithBound};
 pub use ladder::{AnalysisControl, Exactness};
 pub use maxsplit::MaxSplitStrategy;
 pub use overhead::{inflate, overhead_tolerance, OverheadModel};
@@ -76,7 +77,7 @@ pub use rmts::RmTs;
 pub use rmts_light::RmTsLight;
 pub use rmts_taskmodel::{AnalysisBudget, AnalysisError, BudgetResource};
 pub use session::{
-    FullRepartition, PartitionSession, PriorRun, RepartitionError, RepartitionOk, RepartitionPath,
+    PartitionSession, PriorRun, RepartitionError, RepartitionOk, RepartitionPath,
     RepartitionResult, Repartitioner, SessionTrace,
 };
 pub use spec::{AlgorithmSpec, BoundSpec, EngineOptions, SpecError};

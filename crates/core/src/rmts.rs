@@ -17,23 +17,25 @@
 //!    largest-index non-full pre-assigned processor): drains the remaining
 //!    tasks onto the pre-assigned processors.
 //!
+//! Phases 2 and 3 are two phases of the shared splitting engine
+//! ([`crate::engine`]); phases 0 and 1 place whole tasks on empty
+//! processors and record them as reserved placements for guided replay.
+//!
 //! **Guarantee (Section V-B).** For any task set `τ` and any deflatable
 //! PUB `Λ'(τ)`: with `Λ(τ) = min(Λ'(τ), 2Θ/(1+Θ))`, if `U_M(τ) ≤ Λ(τ)`
 //! then RM-TS succeeds and all deadlines are met.
 
 use crate::admission::AdmissionPolicy;
-use crate::config::{Configure, WithBound};
-use crate::engine::{queue_increasing_priority_into, run_phase, EngineError, Select};
-use crate::ladder::{AnalysisControl, Exactness};
-use crate::partition::{Partition, PartitionPhase, PartitionReject, PartitionResult, Partitioner};
+use crate::config::{Configure, Splitting, WithBound};
+use crate::engine::{finish, queue_increasing_priority_into, run_phase, Select, SplittingEngine};
+use crate::ladder::AnalysisControl;
+use crate::partition::{Partition, PartitionPhase, PartitionReject, PartitionResult};
 use crate::processor::{ProcessorRole, ProcessorState};
-use crate::session::{
-    replayable, Guide, PriorRun, RepartitionPath, Repartitioner, ReservedPlace, SessionTrace,
-};
+use crate::session::{Guide, ReservedPlace};
 use crate::workspace::PartitionWorkspace;
 use rmts_bounds::thresholds::{light_threshold, rmts_cap};
 use rmts_bounds::{ll_bound, LiuLayland, ParametricBound};
-use rmts_taskmodel::{AnalysisBudget, Priority, SplitPlan, Subtask, Task, TaskId, TaskSet};
+use rmts_taskmodel::{Priority, SplitPlan, Subtask, Task, TaskId, TaskSet};
 use std::collections::HashSet;
 
 /// Float tolerance for threshold classification.
@@ -45,32 +47,21 @@ const EPS: f64 = 1e-12;
 pub struct RmTs<B = LiuLayland> {
     /// The D-PUB to target.
     pub bound: B,
-    /// Admission policy: exact RTA reproduces the paper's RM-TS; a density
-    /// threshold turns the same skeleton into the \[16\]-style SPA2
-    /// baseline.
-    pub policy: AdmissionPolicy,
     /// Apply the `2Θ/(1+Θ)` cap (Section V). On by default; experiments
     /// can disable it to study what breaks without it.
     pub apply_cap: bool,
-    /// Analysis budget for one `partition()` call. Unlimited by default.
-    pub budget: AnalysisBudget,
-    /// On budget exhaustion, walk the degradation ladder (RTA → TDA →
-    /// `Θ(n)` threshold) instead of rejecting with a typed error.
-    pub degrade: bool,
-    /// Fault-injection override for the ladder's rung-3 threshold (verify
-    /// harness only; `None` = the sound `Θ(n)` default).
-    pub degrade_theta: Option<f64>,
+    /// Admission policy, analysis budget and degradation ladder. Exact RTA
+    /// reproduces the paper's RM-TS; a density threshold turns the same
+    /// skeleton into the \[16\]-style SPA2 baseline.
+    pub splitting: Splitting,
 }
 
 impl Default for RmTs<LiuLayland> {
     fn default() -> Self {
         RmTs {
             bound: LiuLayland,
-            policy: AdmissionPolicy::exact(),
             apply_cap: true,
-            budget: AnalysisBudget::unlimited(),
-            degrade: false,
-            degrade_theta: None,
+            splitting: Splitting::default(),
         }
     }
 }
@@ -90,14 +81,6 @@ impl<B: ParametricBound> RmTs<B> {
         self
     }
 
-    fn control(&self) -> AnalysisControl {
-        let ctl = AnalysisControl::new(self.budget, self.degrade);
-        match self.degrade_theta {
-            Some(theta) => ctl.with_theta_override(theta),
-            None => ctl,
-        }
-    }
-
     /// The effective bound value `Λ(τ) = min(Λ'(τ), 2Θ/(1+Θ))`.
     pub fn effective_bound(&self, ts: &TaskSet) -> f64 {
         let raw = self.bound.value(ts);
@@ -106,48 +89,6 @@ impl<B: ParametricBound> RmTs<B> {
         } else {
             raw
         }
-    }
-
-    fn fail(
-        phase: PartitionPhase,
-        task: Option<TaskId>,
-        processors: Vec<ProcessorState>,
-        sealed: Vec<SplitPlan>,
-        unassigned: Vec<TaskId>,
-        reason: String,
-        exactness: Exactness,
-    ) -> PartitionResult {
-        Err(PartitionReject::new(
-            phase,
-            task,
-            unassigned,
-            Partition::new(processors, sealed).with_exactness(exactness),
-            reason,
-        ))
-    }
-
-    fn engine_failure(
-        phase: PartitionPhase,
-        e: EngineError,
-        processors: Vec<ProcessorState>,
-        sealed: Vec<SplitPlan>,
-        queue_rest: Vec<TaskId>,
-        exactness: Exactness,
-    ) -> PartitionResult {
-        let mut unassigned = queue_rest;
-        unassigned.push(e.task);
-        let reason = format!("placement of {} failed: {}", e.task, e.cause);
-        let analysis = e.analysis();
-        Self::fail(
-            phase,
-            Some(e.task),
-            processors,
-            sealed,
-            unassigned,
-            reason,
-            exactness,
-        )
-        .map_err(|r| r.with_analysis(analysis))
     }
 
     /// Places `task` alone on processor `q` and returns its sealed plan.
@@ -172,24 +113,8 @@ impl<B: ParametricBound> RmTs<B> {
 }
 
 impl<B: ParametricBound> Configure for RmTs<B> {
-    fn with_policy(mut self, policy: AdmissionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    fn with_budget(mut self, budget: AnalysisBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    fn with_degrade(mut self, degrade: bool) -> Self {
-        self.degrade = degrade;
-        self
-    }
-
-    fn with_degrade_theta(mut self, theta: f64) -> Self {
-        self.degrade_theta = Some(theta);
-        self
+    fn splitting_mut(&mut self) -> &mut Splitting {
+        &mut self.splitting
     }
 }
 
@@ -199,44 +124,25 @@ impl<B, B2: ParametricBound> WithBound<B2> for RmTs<B> {
     fn with_bound(self, bound: B2) -> RmTs<B2> {
         RmTs {
             bound,
-            policy: self.policy,
             apply_cap: self.apply_cap,
-            budget: self.budget,
-            degrade: self.degrade,
-            degrade_theta: self.degrade_theta,
+            splitting: self.splitting,
         }
     }
 }
 
-impl<B: ParametricBound> Partitioner for RmTs<B> {
-    fn name(&self) -> String {
-        match self.policy {
+impl<B: ParametricBound> SplittingEngine for RmTs<B> {
+    fn engine_name(&self) -> String {
+        match self.splitting.policy {
             AdmissionPolicy::ExactRta { .. } => format!("RM-TS[{}]", self.bound.name()),
             AdmissionPolicy::DensityThreshold { .. } => "SPA2".to_string(),
         }
     }
 
-    fn partition(&self, ts: &TaskSet, m: usize) -> PartitionResult {
-        // Single code path: a fresh workspace makes this identical to the
-        // historical scratch run (same allocations, same results).
-        self.partition_with(ts, m, &mut PartitionWorkspace::new())
+    fn splitting(&self) -> &Splitting {
+        &self.splitting
     }
 
-    fn partition_with(
-        &self,
-        ts: &TaskSet,
-        m: usize,
-        ws: &mut PartitionWorkspace,
-    ) -> PartitionResult {
-        self.partition_inner(ts, m, ws, None)
-    }
-}
-
-impl<B: ParametricBound> RmTs<B> {
-    /// The single assignment pipeline behind every entry point; `guide`
-    /// adds trace recording and guided replay (see [`crate::session`])
-    /// without changing any placement decision.
-    fn partition_inner(
+    fn run(
         &self,
         ts: &TaskSet,
         m: usize,
@@ -244,7 +150,8 @@ impl<B: ParametricBound> RmTs<B> {
         mut guide: Option<&mut Guide<'_>>,
     ) -> PartitionResult {
         assert!(m > 0, "need at least one processor");
-        let ctl = self.control();
+        let ctl = self.splitting.control();
+        let policy = &self.splitting.policy;
         let theta = ll_bound(ts.len());
         let light_thr = light_threshold(theta);
         let lambda = self.effective_bound(ts);
@@ -265,22 +172,20 @@ impl<B: ParametricBound> RmTs<B> {
                 .map(|p| p.index)
                 .max()
             else {
-                return Self::fail(
+                return Err(PartitionReject::new(
                     PartitionPhase::Dedicate,
                     Some(task.id),
-                    processors,
-                    sealed,
                     vec![task.id],
+                    Partition::new(processors, sealed).with_exactness(ctl.exactness()),
                     format!("no processor left to dedicate to {} (U > Λ)", task.id),
-                    ctl.exactness(),
-                );
+                ));
             };
             sealed.push(Self::place_whole(
                 &mut processors,
                 q,
                 prio,
                 task,
-                &self.policy,
+                policy,
                 &ctl,
             ));
             processors[q].role = ProcessorRole::Dedicated;
@@ -332,7 +237,7 @@ impl<B: ParametricBound> RmTs<B> {
                     q,
                     prio,
                     task,
-                    &self.policy,
+                    policy,
                     &ctl,
                 ));
                 processors[q].role = ProcessorRole::PreAssigned;
@@ -356,126 +261,58 @@ impl<B: ParametricBound> RmTs<B> {
             g.finish_reserved();
         }
 
-        // Phases 2 and 3 share one work queue, in increasing priority order.
+        // Phases 2 and 3 share one work queue, in increasing priority order;
+        // phase 3 drains what phase 2 left behind.
         queue_increasing_priority_into(ts, |id| !reserved.contains(&id), &mut ws.queue);
-        let queue = &mut ws.queue;
-
-        let phase2 = {
+        let mut phase = PartitionPhase::AssignNormal;
+        let mut outcome = {
             let _span = rmts_obs::span("core.phase.assign_normal_ns");
             run_phase(
                 &mut processors,
                 &|p: &ProcessorState| p.role == ProcessorRole::Normal,
                 Select::WorstFit,
-                queue,
-                &self.policy,
+                &mut ws.queue,
+                policy,
                 &mut sealed,
                 &ctl,
                 &mut ws.select,
                 guide.as_deref_mut(),
             )
         };
-        if let Err(e) = phase2 {
-            let rest = queue.iter().map(|p| p.task().id).collect();
-            return Self::engine_failure(
-                PartitionPhase::AssignNormal,
-                e,
-                processors,
-                sealed,
-                rest,
-                ctl.exactness(),
-            );
+        if outcome.is_ok() {
+            phase = PartitionPhase::AssignPreAssigned;
+            outcome = {
+                let _span = rmts_obs::span("core.phase.assign_preassigned_ns");
+                run_phase(
+                    &mut processors,
+                    &|p: &ProcessorState| p.role == ProcessorRole::PreAssigned,
+                    Select::LargestIndexFirstFit,
+                    &mut ws.queue,
+                    policy,
+                    &mut sealed,
+                    &ctl,
+                    &mut ws.select,
+                    guide,
+                )
+            };
         }
-
-        let phase3 = {
-            let _span = rmts_obs::span("core.phase.assign_preassigned_ns");
-            run_phase(
-                &mut processors,
-                &|p: &ProcessorState| p.role == ProcessorRole::PreAssigned,
-                Select::LargestIndexFirstFit,
-                queue,
-                &self.policy,
-                &mut sealed,
-                &ctl,
-                &mut ws.select,
-                guide,
-            )
-        };
-        if let Err(e) = phase3 {
-            let rest = queue.iter().map(|p| p.task().id).collect();
-            return Self::engine_failure(
-                PartitionPhase::AssignPreAssigned,
-                e,
-                processors,
-                sealed,
-                rest,
-                ctl.exactness(),
-            );
-        }
-
-        if queue.is_empty() {
-            Ok(Partition::new(processors, sealed).with_exactness(ctl.exactness()))
-        } else {
-            let rest: Vec<TaskId> = queue.iter().map(|p| p.task().id).collect();
-            let head = rest.first().copied();
-            Self::fail(
-                PartitionPhase::AssignPreAssigned,
-                head,
-                processors,
-                sealed,
-                rest,
-                "all processors full with tasks remaining".to_string(),
-                ctl.exactness(),
-            )
-        }
-    }
-}
-
-impl<B: ParametricBound> Repartitioner for RmTs<B> {
-    fn partition_traced(
-        &self,
-        ts: &TaskSet,
-        m: usize,
-        ws: &mut PartitionWorkspace,
-        trace: &mut SessionTrace,
-    ) -> PartitionResult {
-        if !self.budget.is_unlimited() {
-            // A metered run's verdicts depend on meter state, which does
-            // not align across runs: leave the trace unsupported so every
-            // apply re-partitions in full.
-            trace.reset();
-            return self.partition_with(ts, m, ws);
-        }
-        let mut guide = Guide::record(trace);
-        self.partition_inner(ts, m, ws, Some(&mut guide))
-    }
-
-    fn repartition(
-        &self,
-        prior: PriorRun<'_>,
-        ts: &TaskSet,
-        m: usize,
-        ws: &mut PartitionWorkspace,
-        trace: &mut SessionTrace,
-    ) -> (PartitionResult, RepartitionPath) {
-        if !self.budget.is_unlimited() || !replayable(prior.trace, m) {
-            return (
-                self.partition_traced(ts, m, ws, trace),
-                RepartitionPath::Full,
-            );
-        }
-        let mut guide = Guide::guided(trace, prior.trace, m);
-        let result = self.partition_inner(ts, m, ws, Some(&mut guide));
-        let (reused, live) = guide.step_counts();
-        rmts_obs::count("core.session.reused_steps", reused);
-        rmts_obs::count("core.session.live_steps", live);
-        (result, RepartitionPath::Incremental)
+        finish(
+            phase,
+            outcome,
+            &ws.queue,
+            processors,
+            sealed,
+            ctl.exactness(),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::Partitioner;
     use rmts_bounds::HarmonicChain;
+    use rmts_taskmodel::AnalysisBudget;
     use rmts_taskmodel::TaskSetBuilder;
 
     #[test]
@@ -658,8 +495,8 @@ mod tests {
             .with_degrade(true)
             .with_cap(false)
             .with_bound(HarmonicChain);
-        assert_eq!(alg.policy, AdmissionPolicy::threshold(0.6));
-        assert!(alg.degrade);
+        assert_eq!(alg.splitting.policy, AdmissionPolicy::threshold(0.6));
+        assert!(alg.splitting.degrade);
         assert!(!alg.apply_cap);
     }
 }

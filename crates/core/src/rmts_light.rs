@@ -10,45 +10,40 @@
 //! utilization bound `Λ(τ)`: if `U_M(τ) ≤ Λ(τ)` then RM-TS/light
 //! successfully partitions `τ` on `M` processors, and every (sub)task meets
 //! its deadline at run time (Lemma 4).
+//!
+//! The pipeline is a single phase of the shared splitting engine
+//! ([`crate::engine`]) over every processor. With no reserved placements,
+//! it is also the engine that takes the WCET splice on session applies.
 
 use crate::admission::AdmissionPolicy;
-use crate::config::Configure;
+use crate::config::{Configure, Splitting};
 pub use crate::engine::Select as FitSelect;
-use crate::engine::{queue_increasing_priority_into, run_phase, try_splice, Select};
-use crate::ladder::AnalysisControl;
-use crate::partition::{Partition, PartitionPhase, PartitionReject, PartitionResult, Partitioner};
-use crate::session::{replayable, Guide, PriorRun, RepartitionPath, Repartitioner, SessionTrace};
+use crate::engine::{
+    finish, queue_increasing_priority_into, run_phase, try_splice, Select, SplittingEngine,
+};
+use crate::partition::{Partition, PartitionPhase, PartitionResult};
+use crate::session::{Guide, PriorRun, SessionTrace};
 use crate::workspace::PartitionWorkspace;
-use rmts_taskmodel::{AnalysisBudget, TaskSet};
+use rmts_taskmodel::TaskSet;
 
 /// The RM-TS/light partitioning algorithm.
 #[derive(Debug, Clone, Copy)]
 pub struct RmTsLight {
-    /// Admission policy. [`AdmissionPolicy::exact`] reproduces the paper's
-    /// algorithm; a density threshold turns this skeleton into the
-    /// \[16\]-style SPA1 baseline (see `baselines::Spa1`).
-    pub policy: AdmissionPolicy,
+    /// Admission policy, analysis budget and degradation ladder.
+    /// [`AdmissionPolicy::exact`] reproduces the paper's algorithm; a
+    /// density threshold turns this skeleton into the \[16\]-style SPA1
+    /// baseline (see `baselines::Spa1`).
+    pub splitting: Splitting,
     /// Processor selection. The paper (and the utilization-bound proof)
     /// uses worst-fit; first-fit is exposed for the ABL-2 ablation only.
     pub select: Select,
-    /// Analysis budget for one `partition()` call. Unlimited by default.
-    pub budget: AnalysisBudget,
-    /// On budget exhaustion, walk the degradation ladder (RTA → TDA →
-    /// `Θ(n)` threshold) instead of rejecting with a typed error.
-    pub degrade: bool,
-    /// Fault-injection override for the ladder's rung-3 threshold (verify
-    /// harness only; `None` = the sound `Θ(n)` default).
-    pub degrade_theta: Option<f64>,
 }
 
 impl Default for RmTsLight {
     fn default() -> Self {
         RmTsLight {
-            policy: AdmissionPolicy::exact(),
+            splitting: Splitting::default(),
             select: Select::WorstFit,
-            budget: AnalysisBudget::unlimited(),
-            degrade: false,
-            degrade_theta: None,
         }
     }
 }
@@ -65,41 +60,17 @@ impl RmTsLight {
         self.select = select;
         self
     }
-
-    fn control(&self) -> AnalysisControl {
-        let ctl = AnalysisControl::new(self.budget, self.degrade);
-        match self.degrade_theta {
-            Some(theta) => ctl.with_theta_override(theta),
-            None => ctl,
-        }
-    }
 }
 
 impl Configure for RmTsLight {
-    fn with_policy(mut self, policy: AdmissionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    fn with_budget(mut self, budget: AnalysisBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    fn with_degrade(mut self, degrade: bool) -> Self {
-        self.degrade = degrade;
-        self
-    }
-
-    fn with_degrade_theta(mut self, theta: f64) -> Self {
-        self.degrade_theta = Some(theta);
-        self
+    fn splitting_mut(&mut self) -> &mut Splitting {
+        &mut self.splitting
     }
 }
 
-impl Partitioner for RmTsLight {
-    fn name(&self) -> String {
-        let base = match self.policy {
+impl SplittingEngine for RmTsLight {
+    fn engine_name(&self) -> String {
+        let base = match self.splitting.policy {
             AdmissionPolicy::ExactRta { .. } => "RM-TS/light".to_string(),
             AdmissionPolicy::DensityThreshold { theta } => {
                 format!("SPA1(θ={theta:.3})")
@@ -112,27 +83,11 @@ impl Partitioner for RmTsLight {
         }
     }
 
-    fn partition(&self, ts: &TaskSet, m: usize) -> PartitionResult {
-        // Single code path: a fresh workspace makes this identical to the
-        // historical scratch run (same allocations, same results).
-        self.partition_with(ts, m, &mut PartitionWorkspace::new())
+    fn splitting(&self) -> &Splitting {
+        &self.splitting
     }
 
-    fn partition_with(
-        &self,
-        ts: &TaskSet,
-        m: usize,
-        ws: &mut PartitionWorkspace,
-    ) -> PartitionResult {
-        self.partition_inner(ts, m, ws, None)
-    }
-}
-
-impl RmTsLight {
-    /// The single assignment pipeline behind every entry point; `guide`
-    /// adds trace recording and guided replay (see [`crate::session`])
-    /// without changing any placement decision.
-    fn partition_inner(
+    fn run(
         &self,
         ts: &TaskSet,
         m: usize,
@@ -140,114 +95,54 @@ impl RmTsLight {
         guide: Option<&mut Guide<'_>>,
     ) -> PartitionResult {
         assert!(m > 0, "need at least one processor");
-        let ctl = self.control();
+        let ctl = self.splitting.control();
         let mut processors = ws.take_processors(m);
         queue_increasing_priority_into(ts, |_| true, &mut ws.queue);
         let mut sealed = Vec::with_capacity(ts.len());
-        let phase = {
+        let outcome = {
             let _span = rmts_obs::span("core.phase.assign_normal_ns");
             run_phase(
                 &mut processors,
                 &|_| true,
                 self.select,
                 &mut ws.queue,
-                &self.policy,
+                &self.splitting.policy,
                 &mut sealed,
                 &ctl,
                 &mut ws.select,
                 guide,
             )
         };
-        let mut unassigned: Vec<_> = ws.queue.iter().map(|p| p.task().id).collect();
-        let rejected = unassigned.first().copied();
-        let (rejected, reason, analysis) = match phase {
-            Err(e) => {
-                unassigned.push(e.task);
-                let reason = format!("placement of {} failed: {}", e.task, e.cause);
-                (Some(e.task), reason, e.analysis())
-            }
-            Ok(()) if unassigned.is_empty() => {
-                return Ok(Partition::new(processors, sealed).with_exactness(ctl.exactness()));
-            }
-            Ok(()) => (
-                rejected,
-                "all processors full with tasks remaining".to_string(),
-                None,
-            ),
-        };
-        Err(PartitionReject::new(
+        finish(
             PartitionPhase::AssignNormal,
-            rejected,
-            unassigned,
-            Partition::new(processors, sealed).with_exactness(ctl.exactness()),
-            reason,
+            outcome,
+            &ws.queue,
+            processors,
+            sealed,
+            ctl.exactness(),
         )
-        .with_analysis(analysis))
     }
-}
 
-impl Repartitioner for RmTsLight {
-    fn partition_traced(
+    /// WCET-only deltas take the splice: recorded placements are applied as
+    /// `O(1)` shadow-state updates instead of re-running the placement
+    /// loop. It bails to guided replay on anything structural (and on
+    /// rejects, which re-run for full diagnostics).
+    fn splice(
         &self,
+        prior: &PriorRun<'_>,
         ts: &TaskSet,
         m: usize,
         ws: &mut PartitionWorkspace,
         trace: &mut SessionTrace,
-    ) -> PartitionResult {
-        if !self.budget.is_unlimited() {
-            // A metered run's verdicts depend on meter state, which does
-            // not align across runs: leave the trace unsupported so every
-            // apply re-partitions in full.
-            trace.reset();
-            return self.partition_with(ts, m, ws);
-        }
-        let mut guide = Guide::record(trace);
-        self.partition_inner(ts, m, ws, Some(&mut guide))
-    }
-
-    fn repartition(
-        &self,
-        prior: PriorRun<'_>,
-        ts: &TaskSet,
-        m: usize,
-        ws: &mut PartitionWorkspace,
-        trace: &mut SessionTrace,
-    ) -> (PartitionResult, RepartitionPath) {
-        if !self.budget.is_unlimited() || !replayable(prior.trace, m) {
-            return (
-                self.partition_traced(ts, m, ws, trace),
-                RepartitionPath::Full,
-            );
-        }
-        // WCET-only deltas take the splice fast path: recorded placements
-        // are applied as O(1) shadow-state updates instead of re-running
-        // the full placement loop. Bails to guided replay on anything
-        // structural (and on rejects, which re-run for full diagnostics).
-        if let Some(partition) = try_splice(
-            ts,
-            m,
-            ws,
-            &self.policy,
-            &self.control(),
-            self.select,
-            prior.partition,
-            prior.trace,
-            trace,
-        ) {
-            return (Ok(partition), RepartitionPath::Incremental);
-        }
-        let mut guide = Guide::guided(trace, prior.trace, m);
-        let result = self.partition_inner(ts, m, ws, Some(&mut guide));
-        let (reused, live) = guide.step_counts();
-        rmts_obs::count("core.session.reused_steps", reused);
-        rmts_obs::count("core.session.live_steps", live);
-        (result, RepartitionPath::Incremental)
+    ) -> Option<Partition> {
+        try_splice(ts, m, ws, &self.splitting, self.select, prior, trace)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Partitioner;
     use rmts_bounds::thresholds::is_light_set;
     use rmts_taskmodel::{SubtaskKind, TaskSetBuilder, Time};
 

@@ -41,7 +41,7 @@
 //! engines and engines without trace support fall back to a full traced
 //! re-partition — same results, no reuse.
 
-use crate::partition::{DynPartitioner, Partition, PartitionReject, PartitionResult, Partitioner};
+use crate::partition::{Partition, PartitionReject, PartitionResult, Partitioner};
 use crate::processor::ProcessorRole;
 use crate::workspace::PartitionWorkspace;
 use rmts_taskmodel::{DeltaError, SplitPlan, TaskId, TaskSet, TaskSetDelta, Time};
@@ -500,8 +500,11 @@ pub struct PriorRun<'a> {
 /// Extension of [`Partitioner`] with traced and incremental entry points.
 ///
 /// The default implementations make every partitioner usable behind a
-/// [`PartitionSession`] (correct, never incremental); RM-TS and
-/// RM-TS/light override both with the guided-replay engine.
+/// [`PartitionSession`] (correct, never incremental). The splitting
+/// engines — RM-TS, RM-TS/light and the SPA baselines on their skeletons —
+/// share one implementation of both in [`crate::engine`]: it picks the
+/// tier of every apply (full, WCET splice for RM-TS/light, or guided
+/// replay).
 pub trait Repartitioner: Partitioner {
     /// [`Partitioner::partition_with`] that additionally records the
     /// placement trace needed to seed guided replay. The default records
@@ -536,31 +539,6 @@ pub trait Repartitioner: Partitioner {
         )
     }
 }
-
-/// Adapter giving any boxed [`Partitioner`] the session API via the
-/// default (always-full) [`Repartitioner`] implementation.
-pub struct FullRepartition(pub DynPartitioner);
-
-impl Partitioner for FullRepartition {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-
-    fn partition(&self, ts: &TaskSet, m: usize) -> PartitionResult {
-        self.0.partition(ts, m)
-    }
-
-    fn partition_with(
-        &self,
-        ts: &TaskSet,
-        m: usize,
-        ws: &mut PartitionWorkspace,
-    ) -> PartitionResult {
-        self.0.partition_with(ts, m, ws)
-    }
-}
-
-impl Repartitioner for FullRepartition {}
 
 /// Why an [`PartitionSession::apply`] did not commit. The session keeps
 /// its prior state in both cases (admission-control semantics: a rejected
@@ -787,8 +765,13 @@ mod tests {
     fn incremental_apply_matches_scratch() {
         let mut s = PartitionSession::start(Box::new(RmTsLight::new()), base(), 2).unwrap();
         let delta = TaskSetDelta::update(Task::from_ticks(1, 3, 8).unwrap());
-        let path = s.apply(&delta).unwrap().path;
+        let (path, stats) = rmts_obs::record(|| s.apply(&delta).unwrap().path);
         assert_eq!(path, RepartitionPath::Incremental);
+        // A WCET-only update on RM-TS/light takes the splice: the three
+        // unchanged items replay dry, the updated one runs live.
+        assert_eq!(stats.counter("core.session.spliced_applies"), 1);
+        assert_eq!(stats.counter("core.session.reused_steps"), 3);
+        assert_eq!(stats.counter("core.session.live_steps"), 1);
         let new_ts = s.taskset().clone();
         let scratch = RmTsLight::new().partition(&new_ts, 2).unwrap();
         assert_eq!(s.partition(), &scratch);
@@ -807,6 +790,14 @@ mod tests {
         let delta = TaskSetDelta::add(Task::from_ticks(7, 1, 16).unwrap());
         let out = s.apply(&delta).unwrap();
         assert_eq!(out.path, RepartitionPath::Incremental);
+        let scratch = RmTs::new().partition(s.taskset(), 2).unwrap();
+        assert_eq!(s.partition(), &scratch);
+        // A WCET-only update: τ0 stays pre-assigned, and the splice cannot
+        // prove reserved placements unchanged, so RM-TS takes guided replay.
+        let delta = TaskSetDelta::update(Task::from_ticks(1, 2, 10).unwrap());
+        let (path, stats) = rmts_obs::record(|| s.apply(&delta).unwrap().path);
+        assert_eq!(path, RepartitionPath::Incremental);
+        assert_eq!(stats.counter("core.session.spliced_applies"), 0);
         let scratch = RmTs::new().partition(s.taskset(), 2).unwrap();
         assert_eq!(s.partition(), &scratch);
     }
@@ -840,15 +831,9 @@ mod tests {
 
     #[test]
     fn default_impl_goes_full_path() {
-        let engine = FullRepartition(
-            crate::spec::AlgorithmSpec::PartitionedRm {
-                fit: crate::baselines::Fit::First,
-                admission: crate::baselines::UniAdmission::ExactRta,
-                sort: crate::baselines::SortOrder::DecreasingUtilization,
-            }
-            .build(4),
-        );
-        let mut s = PartitionSession::start(Box::new(engine), base(), 2).unwrap();
+        let mut s =
+            PartitionSession::start(Box::new(crate::baselines::PartitionedRm::new()), base(), 2)
+                .unwrap();
         let delta = TaskSetDelta::remove(TaskId(3));
         let out = s.apply(&delta).unwrap();
         assert_eq!(out.path, RepartitionPath::Full);
@@ -867,6 +852,12 @@ mod tests {
         let mut s = PartitionSession::start(Box::new(engine), base(), 2).unwrap();
         let out = s.apply(&TaskSetDelta::remove(TaskId(3))).unwrap();
         assert_eq!(out.path, RepartitionPath::Full);
+        // The splice never takes structural deltas, so only a WCET-only
+        // update shows that the budget gate also keeps it out.
+        let delta = TaskSetDelta::update(Task::from_ticks(1, 3, 8).unwrap());
+        let (path, stats) = rmts_obs::record(|| s.apply(&delta).unwrap().path);
+        assert_eq!(path, RepartitionPath::Full);
+        assert_eq!(stats.counter("core.session.spliced_applies"), 0);
     }
 
     #[test]

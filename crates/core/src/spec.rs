@@ -476,38 +476,11 @@ impl AlgorithmSpec {
         }
         Ok(match *self {
             AlgorithmSpec::RmTs { bound } => {
-                let mut alg = RmTs::new()
-                    .with_bound(SpecBound(bound))
-                    .with_budget(opts.budget)
-                    .with_degrade(opts.degrade);
-                if let Some(policy) = opts.policy {
-                    alg = alg.with_policy(policy);
-                }
-                Box::new(alg)
+                Box::new(configured(RmTs::new().with_bound(SpecBound(bound)), opts))
             }
-            AlgorithmSpec::RmTsLight => {
-                let mut alg = RmTsLight::new()
-                    .with_budget(opts.budget)
-                    .with_degrade(opts.degrade);
-                if let Some(policy) = opts.policy {
-                    alg = alg.with_policy(policy);
-                }
-                Box::new(alg)
-            }
-            AlgorithmSpec::Spa1 => {
-                let mut alg = spa1(n).with_budget(opts.budget).with_degrade(opts.degrade);
-                if let Some(policy) = opts.policy {
-                    alg = alg.with_policy(policy);
-                }
-                Box::new(alg)
-            }
-            AlgorithmSpec::Spa2 => {
-                let mut alg = spa2(n).with_budget(opts.budget).with_degrade(opts.degrade);
-                if let Some(policy) = opts.policy {
-                    alg = alg.with_policy(policy);
-                }
-                Box::new(alg)
-            }
+            AlgorithmSpec::RmTsLight => Box::new(configured(RmTsLight::new(), opts)),
+            AlgorithmSpec::Spa1 => Box::new(configured(spa1(n), opts)),
+            AlgorithmSpec::Spa2 => Box::new(configured(spa2(n), opts)),
             AlgorithmSpec::PartitionedRm {
                 fit,
                 admission,
@@ -519,6 +492,16 @@ impl AlgorithmSpec {
                     .with_sort(sort),
             ),
         })
+    }
+}
+
+/// A splitting engine with the budget, degradation switch and optional
+/// policy override of `opts` applied.
+fn configured<E: Configure>(alg: E, opts: &EngineOptions) -> E {
+    let alg = alg.with_budget(opts.budget).with_degrade(opts.degrade);
+    match opts.policy {
+        Some(policy) => alg.with_policy(policy),
+        None => alg,
     }
 }
 

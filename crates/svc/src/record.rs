@@ -170,9 +170,9 @@ pub(crate) fn read_file<T>(
 }
 
 /// Replaces the file at `path` with `bytes` atomically: write
-/// `<path>.tmp.<pid>`, `sync_all`, rename over `path`. A crash at any
-/// point leaves the old file or the new one at `path`, never a torn one;
-/// a failed write removes its temp file.
+/// `<path>.tmp.<pid>`, `sync_all`, rename over `path`, then sync the
+/// parent directory. A crash at any point leaves the old file or the new
+/// one at `path`, never a torn one; a failed write removes its temp file.
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
     let written = File::create(&tmp)
@@ -184,7 +184,15 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     if written.is_err() {
         let _ = fs::remove_file(&tmp);
     }
-    written
+    written?;
+    // The rename survives a machine crash only once the directory entry is
+    // on disk, and callers act on it next (a checkpoint unlinks the
+    // generation this file replaces). A bare file name's parent is `.`.
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
 }
 
 /// A bounds-checked cursor over record bytes. Every read returns `None`

@@ -396,7 +396,7 @@ impl Service {
     /// queue high-water mark, per-shard busy time, wall latency).
     pub fn analyze_batch(&self, reqs: Vec<AnalyzeRequest>) -> Vec<Response> {
         let t0 = Instant::now();
-        let before = self.stats_inner();
+        let before = self.stats();
         let n = reqs.len();
         let (tx, rx) = mpsc::channel();
         // Canonicalize the whole batch into one structure-of-arrays arena
@@ -420,7 +420,7 @@ impl Service {
         drop(tx);
         let responses = collect_in_order(rx, n);
         if rmts_obs::enabled() {
-            let after = self.stats_inner();
+            let after = self.stats();
             rmts_obs::count("svc.batch.requests", n as u64);
             rmts_obs::count("svc.memo.hits", after.memo_hits - before.memo_hits);
             rmts_obs::count("svc.memo.misses", after.memo_misses - before.memo_misses);
@@ -491,7 +491,8 @@ impl Service {
             .expect("submission after Service::shutdown (queues are closed)");
     }
 
-    fn stats_inner(&self) -> ServiceStats {
+    /// A statistics snapshot.
+    pub fn stats(&self) -> ServiceStats {
         ServiceStats {
             submitted: self.stats.submitted.load(Ordering::Relaxed),
             completed: self.stats.completed.load(Ordering::Relaxed),
@@ -507,11 +508,6 @@ impl Service {
                 .map(|b| b.load(Ordering::Relaxed))
                 .collect(),
         }
-    }
-
-    /// A statistics snapshot.
-    pub fn stats(&self) -> ServiceStats {
-        self.stats_inner()
     }
 
     /// Durability counters (`None` for non-durable services).
@@ -562,7 +558,7 @@ impl Service {
         // Best-effort: a failed final generation leaves the previous one
         // (plus the live journal) intact — recovery replays it.
         let _ = self.drain_and_persist();
-        self.stats_inner()
+        self.stats()
     }
 
     /// [`Service::shutdown`], then writes the drained memo tables to

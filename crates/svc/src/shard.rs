@@ -684,29 +684,12 @@ impl Shard {
         // queue is cleared on next use), never inconsistent.
         let ws = &mut self.ws;
         match catch_unwind(AssertUnwindSafe(|| engine.partition_with(&ts, m, ws))) {
-            Ok(Ok(p)) => {
-                let verdict = Verdict::Accepted {
-                    processors_used: p.processors.iter().filter(|q| !q.is_empty()).count(),
-                    splits: p.split_tasks().iter().map(|t| t.0).collect(),
-                    exactness: p.exactness,
+            Ok(result) => {
+                let (verdict, partition) = match result {
+                    Ok(p) => (accepted_verdict(&p), p),
+                    Err(rej) => (rejected_verdict(&rej), rej.partial),
                 };
-                self.ws.recycle(p);
-                AnalysisOutcome {
-                    algorithm: name,
-                    m,
-                    verdict,
-                }
-            }
-            Ok(Err(rej)) => {
-                let rej = *rej;
-                let verdict = Verdict::Rejected {
-                    phase: rej.phase,
-                    task: rej.task.map(|t| t.0),
-                    unassigned: rej.unassigned.iter().map(|t| t.0).collect(),
-                    analysis: rej.analysis,
-                    reason: rej.reason,
-                };
-                self.ws.recycle(rej.partial);
+                self.ws.recycle(partition);
                 AnalysisOutcome {
                     algorithm: name,
                     m,

@@ -69,11 +69,11 @@ pub mod prelude {
     pub use rmts_core::baselines::{spa1, spa2, Fit, PartitionedRm, SortOrder, UniAdmission};
     pub use rmts_core::{
         audit, AdmissionPolicy, AlgorithmSpec, AnalysisBudget, AnalysisError, Bottleneck,
-        BoundSpec, Configure, DynPartitioner, EngineOptions, Exactness, FullRepartition,
-        MaxSplitStrategy, OverheadModel, Partition, PartitionPhase, PartitionReject,
-        PartitionSession, PartitionWorkspace, Partitioner, PriorRun, RepartitionError,
-        RepartitionOk, RepartitionPath, RepartitionResult, Repartitioner, RmTs, RmTsLight,
-        SessionTrace, SpecError, WithBound,
+        BoundSpec, Configure, DynPartitioner, EngineOptions, Exactness, MaxSplitStrategy,
+        OverheadModel, Partition, PartitionPhase, PartitionReject, PartitionSession,
+        PartitionWorkspace, Partitioner, PriorRun, RepartitionError, RepartitionOk,
+        RepartitionPath, RepartitionResult, Repartitioner, RmTs, RmTsLight, SessionTrace,
+        SpecError, WithBound,
     };
     pub use rmts_gen::{GenConfig, PeriodGen, UtilizationSpec};
     pub use rmts_net::{NetConfig, Server, ShedPolicy};

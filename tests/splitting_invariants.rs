@@ -1,6 +1,7 @@
 //! Property-based invariants of the partitioning algorithms.
 
 use proptest::prelude::*;
+use rmts::bounds::thresholds::{is_light_set, light_threshold};
 use rmts::core::overhead::{inflate, overhead_tolerance, OverheadModel};
 use rmts::core::ProcessorRole;
 use rmts::prelude::*;
@@ -8,25 +9,42 @@ use rmts::taskmodel::TaskSet;
 
 /// Strategy: a feasible-ish random task set plus a processor count.
 fn arb_instance() -> impl Strategy<Value = (TaskSet, usize)> {
-    (2usize..=4, 4usize..=12, 40u64..95).prop_flat_map(|(m, n, u_pct)| {
-        let total = u_pct as f64 / 100.0 * m as f64;
-        proptest::collection::vec((1u64..=4, 1u64..100), n).prop_map(move |raw| {
-            // Periods from a divisor-friendly menu; utilizations from raw
-            // weights normalized to the target total.
-            let menu = [5_000u64, 10_000, 15_000, 20_000, 30_000, 60_000];
-            let wsum: f64 = raw.iter().map(|&(_, w)| w as f64).sum();
-            let tasks: Vec<Task> = raw
-                .iter()
-                .enumerate()
-                .map(|(i, &(pm, w))| {
-                    let t = menu[(pm as usize + i) % menu.len()];
-                    let u = (total * w as f64 / wsum).min(0.95);
-                    let c = ((t as f64) * u).floor().max(1.0) as u64;
-                    Task::from_ticks(i as u32, c.min(t), t).unwrap()
-                })
-                .collect();
-            (TaskSet::new(tasks).unwrap(), m)
-        })
+    (2usize..=4, 4usize..=12, 40u64..95)
+        .prop_flat_map(|(m, n, u_pct)| arb_tasks(m, n, u_pct, |_| 0.95))
+}
+
+/// Strategy: a light task set (every `U_i ≤ Θ(N)/(1+Θ(N))`, Definition 1)
+/// plus a processor count.
+fn arb_light_instance() -> impl Strategy<Value = (TaskSet, usize)> {
+    (2usize..=8, 8usize..=32, 60u64..110)
+        .prop_flat_map(|(m, n, u_pct)| arb_tasks(m, n, u_pct, |n| light_threshold(ll_bound(n))))
+}
+
+/// Strategy: `n` tasks whose utilizations total `u_pct`% of `m`
+/// processors, each capped at `u_max(n)`.
+fn arb_tasks(
+    m: usize,
+    n: usize,
+    u_pct: u64,
+    u_max: fn(usize) -> f64,
+) -> impl Strategy<Value = (TaskSet, usize)> {
+    let total = u_pct as f64 / 100.0 * m as f64;
+    proptest::collection::vec((1u64..=4, 1u64..100), n).prop_map(move |raw| {
+        // Periods from a divisor-friendly menu; utilizations from raw
+        // weights normalized to the target total.
+        let menu = [5_000u64, 10_000, 15_000, 20_000, 30_000, 60_000];
+        let wsum: f64 = raw.iter().map(|&(_, w)| w as f64).sum();
+        let tasks: Vec<Task> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, &(pm, w))| {
+                let t = menu[(pm as usize + i) % menu.len()];
+                let u = (total * w as f64 / wsum).min(u_max(n));
+                let c = ((t as f64) * u).floor().max(1.0) as u64;
+                Task::from_ticks(i as u32, c.min(t), t).unwrap()
+            })
+            .collect();
+        (TaskSet::new(tasks).unwrap(), m)
     })
 }
 
@@ -111,6 +129,28 @@ proptest! {
             if proc.role == ProcessorRole::Dedicated {
                 prop_assert_eq!(proc.len(), 1);
                 prop_assert!(proc.workload()[0].utilization() > lambda - 1e-9);
+            }
+        }
+    }
+
+    /// RM-TS reduces to RM-TS/light on light sets: with no heavy task and
+    /// none above Λ, pre-assignment (Section V) and dedication (footnote 5)
+    /// place nothing, so RM-TS runs only RM-TS/light's worst-fit phase.
+    /// A rejection names RM-TS's (empty) pre-assigned phase as the last one
+    /// run, but leaves the same tasks unassigned on the same processors.
+    #[test]
+    fn rmts_reduces_to_rmts_light_on_light_sets((ts, m) in arb_light_instance()) {
+        prop_assert!(is_light_set(&ts));
+        let light = RmTsLight::new().partition(&ts, m);
+        for alg in [&RmTs::new() as &dyn Partitioner, &RmTs::new().with_bound(HarmonicChain)] {
+            match (alg.partition(&ts, m), &light) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(&a, b, "{}", alg.name()),
+                (Err(a), Err(b)) => {
+                    prop_assert_eq!(&a.unassigned, &b.unassigned, "{}", alg.name());
+                    prop_assert_eq!(&a.partial, &b.partial, "{}", alg.name());
+                }
+                (a, b) => prop_assert!(false, "{}: verdicts differ (accepts: {} vs {})",
+                    alg.name(), a.is_ok(), b.is_ok()),
             }
         }
     }
