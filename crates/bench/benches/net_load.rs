@@ -1,6 +1,6 @@
 //! Closed-loop multi-client load generator for the TCP front end.
 //!
-//! An in-process [`Server`] (8-shard service, generous queues) is driven
+//! An in-process [`Server`] (8-shard service) is driven
 //! by `CLIENTS` threads over real loopback TCP. Each client is a closed
 //! loop — send one JSONL request, block for the response line, repeat —
 //! so offered load tracks service rate and the measured latencies are
@@ -10,8 +10,9 @@
 //!
 //! * every response parses as a [`ResponseRecord`] with a dense
 //!   per-client index (the protocol holds under concurrency);
-//! * zero shed at this rate (the generous queue bound means the shed
-//!   ladder must stay on rung 1 — `Pass`);
+//! * zero shed at this rate (closed-loop clients keep at most `CLIENTS`
+//!   requests in flight, far below the ladder's rungs, so it must stay on
+//!   rung 1 — `Pass`);
 //! * request conservation: responses received == requests sent.
 //!
 //! The report — throughput plus p50/p95/p99 round-trip latency — merges
@@ -100,14 +101,9 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
 
 fn main() {
     let lines = unique_lines();
-    let server = Server::start(
-        NetConfig::new().with_service(
-            ServiceConfig::new()
-                .with_shards(SHARDS)
-                .with_queue_capacity(1_500),
-        ),
-    )
-    .expect("start server");
+    let server =
+        Server::start(NetConfig::new().with_service(ServiceConfig::new().with_shards(SHARDS)))
+            .expect("start server");
     let addr = server.addr();
 
     println!(
@@ -137,7 +133,7 @@ fn main() {
     assert_eq!(
         net.shed_degraded + net.shed_overloaded,
         0,
-        "generous queues must keep the shed ladder on rung 1: {net:?}"
+        "closed-loop clients must keep the shed ladder on rung 1: {net:?}"
     );
     assert_eq!(
         net.malformed + net.oversized + net.rate_limited,

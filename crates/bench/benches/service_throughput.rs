@@ -7,10 +7,10 @@
 //!
 //! * `serial_fresh` — the pre-service baseline: for every request,
 //!   canonicalize, build the engine, run the analysis. No memoization.
-//! * `batch_service` — a fresh 8-shard [`Service`] per iteration (thread
-//!   spawn and teardown are *inside* the timed region), answering the same
-//!   batch through per-shard memo tables (hits answered on the
-//!   submitting thread) and bounded queues (misses).
+//! * `batch_service` — a fresh 8-shard [`Service`] per iteration (its
+//!   construction and the batch's scoped worker threads are *inside* the
+//!   timed region), answering the same batch through per-shard memo
+//!   tables (hits answered without a shard lock, misses under it).
 //!
 //! Before timing, the harness asserts the service's answers are
 //! **bit-identical** (serialized JSON) to the serial fresh analyses for all
@@ -35,7 +35,7 @@ const FRESH_BATCH: usize = 600;
 /// ~150 unique task sets in the EXP-1 style (log-uniform periods on the
 /// 10 ms grid). Deep sets near the schedulability edge: admission-control
 /// traffic asks about non-trivial configurations, where RTA fixed points
-/// iterate and the analysis — not the queueing — is the cost.
+/// iterate and the analysis — not the dispatch — is the cost.
 fn unique_sets() -> Vec<Vec<(u64, u64)>> {
     (0..UNIQUE_SETS as u64)
         .map(|trial| {
@@ -82,7 +82,7 @@ fn batch() -> Vec<AnalyzeRequest> {
 /// A 0%-duplicate batch: every request carries a distinct task set, so the
 /// memo table never hits and every answer is a fresh analysis. This is the
 /// complement of [`batch`]: it measures the service's un-memoizable hot
-/// path (canonicalization, queueing, engine reuse, workspace-recycled
+/// path (canonicalization, shard locking, engine reuse, workspace-recycled
 /// partitioning) rather than deduplication.
 fn fresh_only_batch() -> Vec<AnalyzeRequest> {
     let algorithms = [
@@ -149,11 +149,7 @@ fn bench(c: &mut Criterion) -> (u64, u64) {
 
     // Correctness gate before timing: every service answer — memo hit or
     // not — serializes to the same bytes as the serial fresh analysis.
-    let svc = Service::new(
-        ServiceConfig::new()
-            .with_shards(SHARDS)
-            .with_queue_capacity(1_500),
-    );
+    let svc = Service::new(ServiceConfig::new().with_shards(SHARDS));
     let responses = svc.analyze_batch(reqs.clone());
     for (req, resp) in reqs.iter().zip(&responses) {
         let fresh = fresh_outcome(req);
@@ -193,14 +189,10 @@ fn bench(c: &mut Criterion) -> (u64, u64) {
     });
     group.bench_function("batch_service", |b| {
         b.iter(|| {
-            // A cold service per iteration: spawn, serve, join — so the
+            // A cold service per iteration: build, serve, drop — so the
             // measured speedup includes all service overhead and no
             // cross-iteration memo warmth.
-            let svc = Service::new(
-                ServiceConfig::new()
-                    .with_shards(SHARDS)
-                    .with_queue_capacity(1_500),
-            );
+            let svc = Service::new(ServiceConfig::new().with_shards(SHARDS));
             black_box(svc.analyze_batch(reqs.clone()).len())
         })
     });
@@ -209,11 +201,7 @@ fn bench(c: &mut Criterion) -> (u64, u64) {
     // fresh analysis. Gate first: the batch really is duplicate-free and
     // still bit-identical to serial analysis.
     let fresh_reqs = fresh_only_batch();
-    let svc = Service::new(
-        ServiceConfig::new()
-            .with_shards(SHARDS)
-            .with_queue_capacity(1_500),
-    );
+    let svc = Service::new(ServiceConfig::new().with_shards(SHARDS));
     let responses = svc.analyze_batch(fresh_reqs.clone());
     for (req, resp) in fresh_reqs.iter().zip(&responses) {
         let fresh = fresh_outcome(req);
@@ -244,11 +232,7 @@ fn bench(c: &mut Criterion) -> (u64, u64) {
     });
     group.bench_function("service_0dup", |b| {
         b.iter(|| {
-            let svc = Service::new(
-                ServiceConfig::new()
-                    .with_shards(SHARDS)
-                    .with_queue_capacity(1_500),
-            );
+            let svc = Service::new(ServiceConfig::new().with_shards(SHARDS));
             black_box(svc.analyze_batch(fresh_reqs.clone()).len())
         })
     });

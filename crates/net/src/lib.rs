@@ -19,8 +19,7 @@
 //!   typed `rate_limited` line, not a stalled socket.
 //! - [`shed`]: the load ladder — degrade v1 requests through the
 //!   existing `AnalysisBudget` fallback chain before refusing anything,
-//!   and refuse with a typed `overloaded` line instead of queueing past
-//!   the service's backpressure bound.
+//!   and refuse with a typed `overloaded` line past the in-flight bound.
 //! - [`server`]: one acceptor, a bounded connection pool, one thread and
 //!   response-index counter per connection, and a graceful stop that
 //!   drains every accepted request into an atomically written memo

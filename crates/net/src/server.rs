@@ -5,11 +5,13 @@
 //! configured and present), and spawns the acceptor. Each accepted
 //! connection gets its own thread, token bucket, and response-index
 //! counter, so one connection's stream is indexed exactly like a
-//! `serve-batch` JSONL document. [`Server::stop`] unwinds in order:
-//! stop accepting → half-close every live connection's read side (each
-//! serve loop finishes its in-flight response, then sees EOF) → join →
-//! drain the service behind the FIFO export barrier → write the snapshot
-//! atomically. No accepted request is lost between stop and snapshot.
+//! `serve-batch` JSONL document. Each connection thread runs its own
+//! requests on the service (shards are locks, not threads), one request
+//! at a time. [`Server::stop`] unwinds in order: stop accepting →
+//! half-close every live connection's read side (each serve loop finishes
+//! its in-flight response, then sees EOF) → join → drain the service
+//! behind its shard locks → write the snapshot atomically. No accepted
+//! request is lost between stop and snapshot.
 
 use crate::framing::{ErrorKind, ErrorRecord, LineEvent, LineReader};
 use crate::limiter::TokenBucket;
@@ -26,6 +28,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// In-flight slots per shard behind the default shed ladder: it degrades
+/// at half of `shards × IN_FLIGHT_PER_SHARD` requests in flight and
+/// refuses at all of them.
+const IN_FLIGHT_PER_SHARD: usize = 64;
 
 /// Everything a [`Server`] needs to know. Chain `with_*` — the same
 /// uniform-builder idiom as [`ServiceConfig`].
@@ -48,8 +55,11 @@ pub struct NetConfig {
     pub read_timeout: Option<Duration>,
     /// Sizing of the backing analysis service.
     pub service: ServiceConfig,
-    /// Load-shed ladder; `None` derives one from the service's own
-    /// `shards × queue_capacity` backpressure bound.
+    /// Load-shed ladder; `None` derives one with
+    /// [`ShedPolicy::for_capacity`] from 64 in-flight slots per shard. A
+    /// connection has at most one request in flight, so the in-flight
+    /// count never exceeds the live connections: the real in-flight bound
+    /// is the connection pool (`max_clients`).
     pub shed: Option<ShedPolicy>,
     /// Memo snapshot path: restored on start (missing/stale/corrupt
     /// degrades to a cold start), written atomically on [`Server::stop`].
@@ -257,9 +267,9 @@ impl Server {
             (None, None) => (Service::new(cfg.service), RecordReport::default(), None),
         };
         let svc = Arc::new(svc);
-        let shed = cfg.shed.unwrap_or_else(|| {
-            ShedPolicy::for_capacity(cfg.service.shards, cfg.service.queue_capacity)
-        });
+        let shed = cfg
+            .shed
+            .unwrap_or_else(|| ShedPolicy::for_capacity(cfg.service.shards, IN_FLIGHT_PER_SHARD));
         let gauge = Arc::new(PressureGauge::new(shed));
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
@@ -353,8 +363,8 @@ impl Server {
         for h in handles {
             let _ = h.join();
         }
-        // Every accepted request has now been answered; drain the shard
-        // fleet behind the export barrier and persist the memo.
+        // Every accepted request has now been answered; close the shards
+        // behind their locks and persist the memo.
         match &self.snapshot {
             Some(path) => {
                 self.svc.shutdown_with_snapshot(path)?;

@@ -1,4 +1,4 @@
-//! Load shedding: degrade before refusing, refuse before queueing.
+//! Load shedding: degrade before refusing, refuse before overloading.
 //!
 //! The server tracks requests in flight (submitted, not yet answered)
 //! behind one [`PressureGauge`]. Admission has three rungs:
@@ -12,9 +12,9 @@
 //!    never silently dropped. Session (v2) operations are stateful and
 //!    pass unmodified: changing a session's budget mid-stream would
 //!    change its engine fingerprint.
-//! 3. **Overload** — at or past `overload_at` (the queue bound): the
+//! 3. **Overload** — at or past `overload_at` (the in-flight bound): the
 //!    request is answered immediately with a typed `overloaded` error
-//!    line instead of being queued. The client knows within one
+//!    line instead of being served. The client knows within one
 //!    round-trip; nothing times out silently, nothing is dropped on the
 //!    floor.
 //!
@@ -31,9 +31,8 @@ pub struct ShedPolicy {
     /// In-flight count at which v1 requests are degraded (rung 2).
     pub degrade_at: usize,
     /// In-flight count at which requests are refused with a typed
-    /// `overloaded` line (rung 3). This is the queue bound: at most this
-    /// many requests are ever waiting inside the service on the front
-    /// end's behalf.
+    /// `overloaded` line (rung 3). At most this many requests are ever
+    /// inside the service on the front end's behalf.
     pub overload_at: usize,
     /// The budget substituted when degrading (`degrade: true` is set
     /// alongside). Bounded iteration/probe caps — deterministic, so
@@ -42,11 +41,11 @@ pub struct ShedPolicy {
 }
 
 impl ShedPolicy {
-    /// Derives the ladder from the service's own backpressure bound: a
-    /// fleet of `shards × queue_capacity` queue slots degrades at half
-    /// occupancy and refuses at full occupancy.
-    pub fn for_capacity(shards: usize, queue_capacity: usize) -> Self {
-        let capacity = (shards.max(1) * queue_capacity.max(1)).max(2);
+    /// Derives the ladder from an in-flight budget of `slots_per_shard`
+    /// requests per shard: `shards × slots_per_shard` slots degrade at
+    /// half occupancy and refuse at full occupancy.
+    pub fn for_capacity(shards: usize, slots_per_shard: usize) -> Self {
+        let capacity = (shards.max(1) * slots_per_shard.max(1)).max(2);
         ShedPolicy {
             degrade_at: (capacity / 2).max(1),
             overload_at: capacity,

@@ -57,7 +57,7 @@ impl CanonicalSet {
 
     /// Canonicalizes a raw `(wcet, period)` pair list (the request wire
     /// format) without requiring it to be a valid task set yet — validation
-    /// happens in [`CanonicalSet::to_taskset`], on the analyzing shard.
+    /// happens in [`CanonicalSet::to_taskset`], when the request is analysed.
     pub fn of_pairs(raw: &[(u64, u64)]) -> Self {
         let mut order: Vec<usize> = (0..raw.len()).collect();
         order.sort_by_key(|&i| (raw[i].1, raw[i].0, i));
@@ -103,104 +103,6 @@ impl CanonicalSet {
     /// [`Verdict::Invalid`](crate::Verdict::Invalid) response.
     pub fn to_taskset(&self) -> Result<TaskSet, ModelError> {
         TaskSet::from_pairs(&self.pairs)
-    }
-}
-
-/// A whole batch of canonicalized task sets in one structure-of-arrays
-/// arena: every set's pairs live in one flat `Vec`, delimited by a bounds
-/// array, with per-set hashes and scales alongside.
-///
-/// This exists for the batch hot path. Canonicalizing a 10k-request batch
-/// via [`CanonicalSet::of_pairs`] costs three `Vec` allocations per
-/// request (pairs, permutation, sort order); the arena costs a handful of
-/// amortized ones for the whole batch, and the shards read their pair
-/// slices straight out of one shared allocation (`Arc<CanonicalBatch>`)
-/// instead of chasing per-job heap cells.
-///
-/// Canonical form is **identical** to [`CanonicalSet::of_pairs`] — same
-/// sort key, same gcd rescale, same FNV-1a hash — pinned by the
-/// `batch_matches_per_set_canonicalization` test.
-#[derive(Debug, Default)]
-pub struct CanonicalBatch {
-    /// All sets' canonical pairs, concatenated in push order.
-    pairs: Vec<(u64, u64)>,
-    /// `bounds[i]..bounds[i + 1]` delimits set `i` in `pairs`.
-    bounds: Vec<usize>,
-    /// Per-set FNV-1a routing hash.
-    hashes: Vec<u64>,
-    /// Per-set collective gcd that was divided out.
-    scales: Vec<u64>,
-    /// Reused sort-order scratch — the SoA layout's whole point is that
-    /// per-set temporaries do not survive (or allocate) per set.
-    scratch: Vec<usize>,
-}
-
-impl CanonicalBatch {
-    /// An empty batch sized for `sets` pushes (pair storage grows
-    /// geometrically as sets arrive).
-    pub fn with_capacity(sets: usize) -> Self {
-        let mut bounds = Vec::with_capacity(sets + 1);
-        bounds.push(0);
-        CanonicalBatch {
-            pairs: Vec::new(),
-            bounds,
-            hashes: Vec::with_capacity(sets),
-            scales: Vec::with_capacity(sets),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Canonicalizes one raw `(wcet, period)` list into the arena and
-    /// returns its index.
-    pub fn push(&mut self, raw: &[(u64, u64)]) -> usize {
-        if self.bounds.is_empty() {
-            self.bounds.push(0); // `Default`-constructed batch
-        }
-        self.scratch.clear();
-        self.scratch.extend(0..raw.len());
-        self.scratch.sort_by_key(|&i| (raw[i].1, raw[i].0, i));
-        let scale = collective_gcd(raw.iter().copied());
-        let start = self.pairs.len();
-        self.pairs.extend(
-            self.scratch
-                .iter()
-                .map(|&i| (raw[i].0 / scale, raw[i].1 / scale)),
-        );
-        self.hashes.push(fnv1a(&self.pairs[start..]));
-        self.scales.push(scale);
-        self.bounds.push(self.pairs.len());
-        self.hashes.len() - 1
-    }
-
-    /// Number of sets in the batch.
-    pub fn len(&self) -> usize {
-        self.hashes.len()
-    }
-
-    /// Whether the batch holds no sets.
-    pub fn is_empty(&self) -> bool {
-        self.hashes.is_empty()
-    }
-
-    /// Set `idx`'s canonical pairs — bit-identical to what
-    /// [`CanonicalSet::of_pairs`] would produce for the same input.
-    pub fn pairs(&self, idx: usize) -> &[(u64, u64)] {
-        &self.pairs[self.bounds[idx]..self.bounds[idx + 1]]
-    }
-
-    /// Set `idx`'s FNV-1a routing hash.
-    pub fn hash(&self, idx: usize) -> u64 {
-        self.hashes[idx]
-    }
-
-    /// Set `idx`'s collective gcd that was divided out.
-    pub fn scale(&self, idx: usize) -> u64 {
-        self.scales[idx]
-    }
-
-    /// Materializes set `idx` (see [`CanonicalSet::to_taskset`]).
-    pub fn to_taskset(&self, idx: usize) -> Result<TaskSet, ModelError> {
-        TaskSet::from_pairs(self.pairs(idx))
     }
 }
 
@@ -287,48 +189,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_per_set_canonicalization() {
-        let sets: Vec<Vec<(u64, u64)>> = vec![
-            vec![(4, 16), (2, 8), (1, 4), (2, 8)],
-            vec![(6, 24), (12, 48), (12, 48), (24, 96)],
-            vec![],
-            vec![(7, 13)],
-            vec![(5, 4)], // invalid — canonicalizes fine, materializes Err
-        ];
-        let mut batch = CanonicalBatch::with_capacity(sets.len());
-        for (i, raw) in sets.iter().enumerate() {
-            assert_eq!(batch.push(raw), i);
-        }
-        assert_eq!(batch.len(), sets.len());
-        for (i, raw) in sets.iter().enumerate() {
-            let single = CanonicalSet::of_pairs(raw);
-            assert_eq!(batch.pairs(i), single.pairs());
-            assert_eq!(batch.hash(i), single.hash());
-            assert_eq!(batch.scale(i), single.scale());
-            assert_eq!(
-                batch.to_taskset(i).is_ok(),
-                single.to_taskset().is_ok(),
-                "set {i}"
-            );
-        }
-    }
-
-    #[test]
     fn routing_hash_is_pinned() {
         // The hash is on the wire (`canonical_hash`) and picks the shard a
         // restored memo entry lands on; it must never drift.
         let raw = [(4, 16), (1, 4), (2, 8)];
         assert_eq!(CanonicalSet::of_pairs(&raw).hash(), 0x48c7_3df1_29eb_cabe);
-        let mut batch = CanonicalBatch::default();
-        batch.push(&raw);
-        assert_eq!(batch.hash(0), 0x48c7_3df1_29eb_cabe);
-    }
-
-    #[test]
-    fn default_batch_accepts_pushes() {
-        let mut batch = CanonicalBatch::default();
-        assert!(batch.is_empty());
-        batch.push(&[(1, 4)]);
-        assert_eq!(batch.pairs(0), CanonicalSet::of_pairs(&[(1, 4)]).pairs());
     }
 }

@@ -12,38 +12,40 @@
 //!
 //! ## Checkpoint rule
 //!
-//! A checkpoint is a stop-the-world barrier: an export job with a resume
-//! receiver rides every shard's FIFO, so it observes every previously
-//! accepted operation; each shard sends its export and then *pauses*
-//! until the checkpointer finishes. With all shards paused no operation
-//! can commit, so generation `g+1` is a consistent cut — no per-op
-//! sequence numbers needed. The new memo snapshot and compacted journal
-//! are written atomically, the live append handle is swapped to the new
-//! journal, and older generations are deleted, together with any
-//! checkpoint temp file a kill mid-write left behind. Closed sessions and
-//! rejected deltas simply vanish at compaction — that is the journal
-//! truncation. Graceful shutdown drains through the same export job
-//! without the pause, then writes a final generation.
+//! A checkpoint takes the checkpoint lock, then every shard lock in index
+//! order. With every shard lock held no job can run, so no operation can
+//! commit and no journal append can land: generation `g+1` is a
+//! consistent cut — no per-op sequence numbers needed. Memo hits are
+//! still answered meanwhile, because they take no shard lock. The new
+//! memo snapshot and compacted journal are written atomically, the live
+//! append handle is swapped to the new journal, and older generations are
+//! deleted, together with any checkpoint temp file a kill mid-write left
+//! behind; then the locks are released. Closed sessions and rejected
+//! deltas simply vanish at compaction — that is the journal truncation.
+//! Graceful shutdown takes the same locks, closes every shard, and writes
+//! a final generation.
 //!
 //! ## Recovery rule
 //!
 //! Recovery reads the **newest valid** journal for sessions and the
 //! **newest valid** memo snapshot for the memo — independently, so a crash
 //! between the two writes of a checkpoint is safe (the journal is only
-//! swapped *after* both files exist). The loss bound: memo entries newer
-//! than the last checkpoint are gone (≤ one snapshot interval); session
-//! state loses **nothing acknowledged**, because every committed op was
+//! swapped *after* both files exist). It replays the journal's **live
+//! tail** on the recovering thread: for each session still open at the
+//! journal's end, its ops from its last `Open` onwards — exactly what a
+//! checkpoint would keep. The loss bound: memo entries newer than the
+//! last checkpoint are gone (≤ one snapshot interval); session state
+//! loses **nothing acknowledged**, because every committed op was
 //! journaled write-ahead.
 
 use crate::journal::{self, JournalOp, JournalWriter};
-use crate::queue::BoundedQueue;
 use crate::record::{fnv1a, RecordReport, FNV_OFFSET};
-use crate::shard::{Job, SessionState, ShardExport};
+use crate::shard::{self, SessionState, Shard, ShardExport};
 use crate::snapshot;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -92,13 +94,16 @@ pub struct RecoveryReport {
     pub memo: RecordReport,
     /// Journal read outcome.
     pub journal: RecordReport,
-    /// Journal operations replayed through the session machinery.
+    /// Journal operations read. Only the live tail — each open session's
+    /// ops from its last `Open` onwards — goes through the session
+    /// machinery; this counts every op read, replayed or not.
     pub ops_replayed: usize,
     /// Sessions live again after replay.
     pub sessions_recovered: usize,
-    /// Sessions whose replay did not reproduce a committed op (torn down
-    /// rather than left half-applied; 0 in any honest run — replay is
-    /// deterministic).
+    /// Replayed sessions whose replay did not reproduce a committed op
+    /// (torn down rather than left half-applied; 0 in any honest run —
+    /// replay is deterministic). Sessions closed before the journal's end
+    /// are not replayed, so they never count here.
     pub sessions_failed: usize,
 }
 
@@ -153,7 +158,7 @@ impl DurabilityStats {
 
 /// Shared durability state: the live journal handle plus counters. Shards
 /// append through it (write-ahead, before replying); the checkpoint path
-/// swaps the handle under the mutex while every shard is paused.
+/// swaps the handle under the mutex while it holds every shard lock.
 pub(crate) struct DurabilityState {
     pub(crate) dir: PathBuf,
     pub(crate) journal: Mutex<JournalWriter>,
@@ -321,36 +326,30 @@ pub(crate) fn fold_digests(sessions: &[SessionState]) -> u64 {
     })
 }
 
-/// Merges the shards' exports into one cut, sorted so that the files
-/// written from it do not depend on the shard count. `None` when there is
-/// nothing to merge: a shard dropped its export job unanswered (its
-/// worker raced shutdown), or no shard got one (the fleet was already
-/// drained).
-pub(crate) fn merge(exports: Vec<mpsc::Receiver<ShardExport>>) -> Option<ShardExport> {
-    if exports.is_empty() {
-        return None;
-    }
+/// Exports every locked shard and merges the exports into one cut,
+/// sorted so that the files written from it do not depend on the shard
+/// count.
+pub(crate) fn merge(fleet: &[MutexGuard<'_, Shard>]) -> ShardExport {
     let mut cut = ShardExport {
         memo: Vec::new(),
         sessions: Vec::new(),
     };
-    for rx in exports {
-        let export = rx.recv().ok()?;
+    for shard in fleet {
+        let export = shard.export_state();
         cut.memo.extend(export.memo);
         cut.sessions.extend(export.sessions);
     }
     cut.memo
         .sort_by(|a, b| (&a.pairs, a.m, &a.engine).cmp(&(&b.pairs, b.m, &b.engine)));
     cut.sessions.sort_by(|a, b| a.name.cmp(&b.name));
-    Some(cut)
+    cut
 }
 
 /// Writes the next generation from `cut` (memo snapshot, then compacted
 /// journal, both atomic), swaps the live journal handle onto the new
 /// file, resets the mutation counter, and deletes older generations and
-/// orphaned temp files. Caller must hold the checkpoint lock and
-/// guarantee the fleet is quiescent (shards paused, or drained and
-/// joined).
+/// orphaned temp files. Caller must hold the checkpoint lock and every
+/// shard lock.
 pub(crate) fn write_generation(
     dur: &DurabilityState,
     cut: &ShardExport,
@@ -375,44 +374,23 @@ pub(crate) fn write_generation(
     })
 }
 
-/// Runs one stop-the-world checkpoint against a live fleet. Returns
-/// `Ok(None)` when the service is shutting down (closed queues) — the
-/// graceful-shutdown path writes its own final generation under the same
-/// lock, so skipping here loses nothing.
+/// Runs one checkpoint against a live fleet, under the checkpoint lock
+/// and every shard lock. Returns `Ok(None)` once shutdown has closed the
+/// shards — the graceful-shutdown path writes its own final generation
+/// under the same locks, so skipping here loses nothing.
 pub(crate) fn run_checkpoint(
-    queues: &[Arc<BoundedQueue<Job>>],
+    shards: &[Mutex<Shard>],
     dur: &DurabilityState,
 ) -> io::Result<Option<CheckpointReport>> {
     let _guard = dur
         .checkpoint_lock
         .lock()
         .expect("checkpoint lock poisoned");
-    // `resumes` holds every paused shard's wake-up sender; dropping it —
-    // on *any* exit path, including errors — resumes the fleet.
-    let mut resumes = Vec::with_capacity(queues.len());
-    let mut exports = Vec::with_capacity(queues.len());
-    for q in queues {
-        let (reply, export) = mpsc::channel();
-        let (resume_tx, resume) = mpsc::channel();
-        if q.push(Job::Export {
-            reply,
-            resume: Some(resume),
-        })
-        .is_err()
-        {
-            return Ok(None); // shutting down; drop(resumes) unpauses
-        }
-        resumes.push(resume_tx);
-        exports.push(export);
+    let fleet = shard::lock_all(shards);
+    if fleet[0].closed {
+        return Ok(None);
     }
-    let Some(cut) = merge(exports) else {
-        return Ok(None); // a worker raced shutdown
-    };
-    // Every shard is paused now: no op can commit, no journal append can
-    // land — the cut is consistent.
-    let report = write_generation(dur, &cut)?;
-    drop(resumes);
-    Ok(Some(report))
+    write_generation(dur, &merge(&fleet)).map(Some)
 }
 
 /// The background snapshot scheduler: a thread that checkpoints every
@@ -426,7 +404,7 @@ pub(crate) struct SchedulerHandle {
 
 impl SchedulerHandle {
     pub(crate) fn spawn(
-        queues: Vec<Arc<BoundedQueue<Job>>>,
+        shards: Arc<[Mutex<Shard>]>,
         dur: Arc<DurabilityState>,
         interval: Duration,
         every_mutations: u64,
@@ -464,7 +442,7 @@ impl SchedulerHandle {
                     drop(stopped);
                     // Best-effort: an I/O failure leaves the previous
                     // generation intact and the next tick retries.
-                    let _ = run_checkpoint(&queues, &dur);
+                    let _ = run_checkpoint(&shards, &dur);
                     last = Instant::now();
                     stopped = lock.lock().expect("scheduler stop flag poisoned");
                 }

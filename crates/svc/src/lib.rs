@@ -4,9 +4,11 @@
 //! [`Partitioner`](rmts_core::Partitioner) API: callers submit
 //! [`AnalyzeRequest`]s (task set + processor count + [`AlgorithmSpec`] +
 //! budget) and receive [`AnalysisOutcome`]s, instead of constructing
-//! engines by hand per call. The service owns `N` worker shards; each shard
-//! holds long-lived engines per algorithm configuration and a memo table of
-//! results for task sets it has already analyzed.
+//! engines by hand per call. The service owns `N` shards, each behind its
+//! own lock; each shard holds long-lived engines per algorithm
+//! configuration and a memo table of results for task sets it has
+//! already analyzed. Shards are locks, not threads: every request runs on
+//! the thread that submits it.
 //!
 //! The pipeline for one request:
 //!
@@ -21,24 +23,25 @@
 //!    its result.
 //! 3. **Look up**: the submitting thread looks up `(canonical pairs, m,
 //!    engine fingerprint)` in that shard's memo table. The table is
-//!    shared read-mostly: its shard is the only writer, submitters only
-//!    read. On a hit the submitter answers at once with the stored
-//!    outcome — no queue, no shard thread. The stored outcome is
+//!    shared read-mostly: only the holder of its shard's lock writes it,
+//!    submitters read it. On a hit the submitter answers at once with the
+//!    stored outcome — no shard lock. The stored outcome is
 //!    **bit-identical** to what a fresh analysis would produce whenever
 //!    the request's budget is deterministic (iteration/probe caps; a
 //!    wall-clock deadline is inherently racy, so a memo hit then simply
 //!    replays the first run's sound verdict).
-//! 4. **Analyze**: a miss is queued to the shard. Submission applies
-//!    **backpressure**: each shard's queue is bounded, and `submit`
-//!    blocks (never drops, never buffers unboundedly) while the shard is
-//!    saturated. The shard looks the key up again — a duplicate queued
-//!    behind the job that creates its entry is still a hit — and
-//!    otherwise runs the engine, panic-isolated, so a poisoned request
-//!    yields an [`Verdict::Invalid`] response instead of killing the
-//!    shard, and memoizes the outcome. Since only the shard inserts and
-//!    it re-checks first, every distinct question is analysed once, and
+//! 4. **Analyze**: on a miss the submitting thread takes the shard's
+//!    lock and serves the request itself. Under the lock it looks the
+//!    key up again — a duplicate that waited for the lock behind the job
+//!    creating its entry is still a hit — and otherwise runs the engine,
+//!    panic-isolated, so a poisoned request yields an
+//!    [`Verdict::Invalid`] response instead of poisoning the shard, and
+//!    memoizes the outcome. Since only a lock holder inserts and it
+//!    re-checks first, every distinct question is analysed once, and
 //!    hit/miss labels depend on the request stream, not on thread
-//!    timing.
+//!    timing. Batches ([`Service::run_stream`],
+//!    [`Service::analyze_batch`]) group their requests by shard and serve
+//!    each group on one scoped worker thread.
 //!
 //! State outlives the process in two [`record`] files, one on-disk format
 //! with one trust policy: the memo snapshot ([`snapshot`]) and the
@@ -80,7 +83,6 @@
 pub mod canonical;
 pub mod durability;
 pub mod journal;
-pub mod queue;
 pub mod record;
 pub mod request;
 pub mod service;
@@ -88,10 +90,9 @@ mod shard;
 pub mod snapshot;
 pub mod wire;
 
-pub use canonical::{CanonicalBatch, CanonicalSet};
+pub use canonical::CanonicalSet;
 pub use durability::{CheckpointReport, DurabilityConfig, DurabilityStats, RecoveryReport};
 pub use journal::{read_journal, write_journal, JournalOp};
-pub use queue::BoundedQueue;
 pub use record::RecordReport;
 pub use request::{
     AnalysisOutcome, AnalyzeRequest, BudgetSpec, RepartitionRequest, Request, Response,

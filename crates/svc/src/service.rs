@@ -1,48 +1,51 @@
-//! The service façade: shard fleet, submission, batching, statistics.
+//! The service façade: the shard fleet, submission, batching, statistics.
+//!
+//! Shards are locks, not threads. Every job runs on the thread that
+//! submits it: a v1 memo hit is answered from the shared memo table with
+//! no shard lock at all, and any other job runs under its shard's lock
+//! (see the crate docs). Batches fan out over one scoped worker per
+//! shard. The lock order is: the checkpoint lock, then shard locks in
+//! index order, then a journal writer or memo table. Only checkpoint and
+//! shutdown hold more than one shard lock.
+//!
+//! Because analysis runs on the submitting thread, its `core.*` and
+//! `rta.*` counters land in that thread's `obs` recording, when one is
+//! live there.
 
-use crate::canonical::{fnv1a as canonical_hash, CanonicalBatch, CanonicalSet};
+use crate::canonical::{fnv1a as canonical_hash, CanonicalSet};
 use crate::durability::{
     self, CheckpointReport, DurabilityConfig, DurabilityState, DurabilityStats, RecoveryReport,
     SchedulerHandle,
 };
 use crate::journal::{JournalOp, JournalWriter};
-use crate::queue::BoundedQueue;
 use crate::record::{fnv1a, RecordReport, FNV_OFFSET};
 use crate::request::{AnalyzeRequest, RepartitionRequest, Request, Response, Verdict};
-use crate::shard::{engine_key, AnalyzeJob, CanonJob, Job, Memo, SessionJob, Shard, ShardExport};
+use crate::shard::{self, engine_key, AnalyzeJob, Memo, SessionJob, Shard, ShardExport};
 use crate::snapshot::{self, MemoEntry, SnapshotReport};
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Sizing knobs for a [`Service`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Number of worker shards (min 1). Duplicate task sets always land on
-    /// the same shard, so memo hit rates do not degrade with more shards.
+    /// Number of shards (min 1). Duplicate task sets always land on the
+    /// same shard, so memo hit rates do not degrade with more shards.
     pub shards: usize,
-    /// Per-shard bounded queue capacity (min 1): the backpressure limit.
-    /// Each shard holds at most `queue_capacity` queued requests plus one
-    /// drained run being analyzed; further submissions block.
-    pub queue_capacity: usize,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            shards: 4,
-            queue_capacity: 64,
-        }
+        ServiceConfig { shards: 4 }
     }
 }
 
 impl ServiceConfig {
-    /// Default sizing. Chain [`Self::with_shards`] /
-    /// [`Self::with_queue_capacity`] — the uniform-builder idiom.
+    /// Default sizing. Chain [`Self::with_shards`] — the uniform-builder
+    /// idiom.
     pub fn new() -> Self {
         Self::default()
     }
@@ -52,18 +55,12 @@ impl ServiceConfig {
         self.shards = shards.max(1);
         self
     }
-
-    /// Sets the per-shard queue capacity (min 1).
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity.max(1);
-        self
-    }
 }
 
-/// Cross-thread counters shared by the shards (plain atomics: the `obs`
-/// recorders are thread-local, so worker threads cannot see the caller's
-/// recording — the caller mirrors these into `obs` instead, see
-/// [`Service::analyze_batch`]).
+/// Counters shared by every thread that serves a job (plain atomics: the
+/// `obs` recorders are thread-local, and batch workers cannot see the
+/// caller's recording — [`Service::analyze_batch`] mirrors these into
+/// `obs` instead).
 pub(crate) struct SharedStats {
     pub submitted: AtomicU64,
     pub completed: AtomicU64,
@@ -86,37 +83,39 @@ pub struct ServiceStats {
     pub memo_misses: u64,
     /// Requests whose engine panicked (isolated; answered as `Invalid`).
     pub panics: u64,
-    /// Queue high-water mark across shards.
+    /// Always 0: shards have no queue. Kept so that readers of the
+    /// statistics keep building.
     pub max_queue_depth: usize,
-    /// Submissions that had to block on a saturated shard queue.
+    /// Always 0: submission never blocks on a queue. Kept so that readers
+    /// of the statistics keep building.
     pub backpressure_waits: u64,
-    /// Per-shard busy time in nanoseconds.
+    /// Per-shard busy time in nanoseconds: the time each job spent under
+    /// its shard's lock. A job's time is added before its submission
+    /// returns.
     pub shard_busy_ns: Vec<u64>,
 }
 
-/// A pending single-request submission; redeem with [`Ticket::wait`].
+/// A single-request submission's answer; redeem with [`Ticket::wait`].
+/// The request has been served by the time `submit` returns its ticket.
 pub struct Ticket {
-    rx: mpsc::Receiver<Response>,
+    resp: Response,
 }
 
 impl Ticket {
-    /// Blocks until the response arrives.
+    /// The response.
     pub fn wait(self) -> Response {
-        self.rx
-            .recv()
-            .expect("shard dropped a job without replying (worker died?)")
+        self.resp
     }
 }
 
 /// The sharded, batched analysis service (crate docs for the model).
 pub struct Service {
-    queues: Vec<Arc<BoundedQueue<Job>>>,
-    /// Each shard's memo table: written only by its shard, read here by
-    /// every submission (the memo-hit path).
+    /// Every shard behind its own lock, shared with the snapshot
+    /// scheduler.
+    shards: Arc<[Mutex<Shard>]>,
+    /// Each shard's memo table: written only under its shard's lock,
+    /// read here by every submission (the memo-hit path).
     memos: Vec<Arc<Memo>>,
-    /// Behind a mutex so [`Service::shutdown`] can join from `&self`
-    /// (network front ends hold the service in an `Arc`).
-    workers: Mutex<Vec<JoinHandle<()>>>,
     stats: Arc<SharedStats>,
     seq: AtomicUsize,
     /// Crash-durability state ([`Service::with_durability`] only).
@@ -127,12 +126,12 @@ pub struct Service {
 }
 
 impl Service {
-    /// Spawns the shard fleet with cold memo tables.
+    /// Builds the shard fleet with cold memo tables.
     pub fn new(cfg: ServiceConfig) -> Self {
-        Self::new_seeded(cfg, Vec::new())
+        Self::new_seeded(cfg, Vec::new(), None)
     }
 
-    /// Spawns the shard fleet warm: restores the memo snapshot at `path`
+    /// Builds the shard fleet warm: restores the memo snapshot at `path`
     /// (if any) and seeds each shard with the entries that route to it.
     /// A missing, stale, or corrupt snapshot degrades to a (partially)
     /// cold start — see [`crate::record`] for the trust
@@ -141,17 +140,18 @@ impl Service {
     /// live on the calling thread.
     pub fn with_restored(cfg: ServiceConfig, path: &Path) -> (Self, RecordReport) {
         let (entries, report) = restore_memo(path);
-        (Self::new_seeded(cfg, entries), report)
+        (Self::new_seeded(cfg, entries, None), report)
     }
 
-    /// Spawns a **crash-durable** fleet rooted at `cfg.dir` (created if
+    /// Builds a **crash-durable** fleet rooted at `cfg.dir` (created if
     /// absent): recovers the newest valid memo snapshot and session
     /// journal (see [`crate::durability`] for the generation layout and
-    /// [`crate::record`] for the trust policy), replays every journaled
-    /// session op through the ordinary session machinery — guided replay
-    /// is deterministic, so recovered sessions are bit-identical to their
-    /// pre-crash state — and starts the background snapshot scheduler.
-    /// Every committed session op is thereafter journaled write-ahead.
+    /// [`crate::record`] for the trust policy), replays the journal's
+    /// live tail through the ordinary session machinery on the calling
+    /// thread — guided replay is deterministic, so recovered sessions are
+    /// bit-identical to their pre-crash state — and starts the background
+    /// snapshot scheduler. Every committed session op is thereafter
+    /// journaled write-ahead.
     pub fn with_durability(
         cfg: ServiceConfig,
         dcfg: DurabilityConfig,
@@ -178,12 +178,12 @@ impl Service {
             writer,
             report.generation,
         ));
-        let svc = Self::new_seeded_durable(cfg, entries, Some(Arc::clone(&dur)));
-        let (replayed, recovered, failed) = svc.replay_journal(&ops);
-        report.ops_replayed = replayed;
+        let svc = Self::new_seeded(cfg, entries, Some(Arc::clone(&dur)));
+        let (recovered, failed) = svc.replay_journal(&ops);
+        report.ops_replayed = ops.len();
         report.sessions_recovered = recovered;
         report.sessions_failed = failed;
-        rmts_obs::count("svc.journal.replayed", replayed as u64);
+        rmts_obs::count("svc.journal.replayed", ops.len() as u64);
         if report.journal.stale {
             rmts_obs::count("svc.journal.stale", 1);
         }
@@ -193,7 +193,7 @@ impl Service {
         // The scheduler starts only after replay: recovery is complete
         // before the first background checkpoint can cut a generation.
         *svc.scheduler.lock().expect("scheduler registry poisoned") = Some(SchedulerHandle::spawn(
-            svc.queues.clone(),
+            Arc::clone(&svc.shards),
             Arc::clone(&dur),
             dcfg.snapshot_interval,
             dcfg.snapshot_every_mutations,
@@ -201,18 +201,37 @@ impl Service {
         Ok((svc, report))
     }
 
-    /// Replays journal ops through the session machinery (un-journaled —
-    /// they are already in the journal being replayed). Returns
-    /// `(ops replayed, sessions recovered, sessions failed)`; a failed
-    /// session — one whose journaled commit did not replay cleanly — is
-    /// torn down rather than left half-applied. Replay is deterministic,
-    /// so failures never happen outside hand-corrupted journals.
-    fn replay_journal(&self, ops: &[JournalOp]) -> (usize, usize, usize) {
-        if ops.is_empty() {
-            return (0, 0, 0);
-        }
-        let (tx, rx) = mpsc::channel();
+    /// Replays the journal's **live tail** through the session machinery
+    /// (un-journaled — the ops are already in the journal being
+    /// replayed): for each session still open at the journal's end, its
+    /// ops from its last `Open` onwards. That is exactly what a
+    /// checkpoint would keep, and it rebuilds the same fleet as replaying
+    /// everything, because sessions are independent and rejected ops are
+    /// never journaled. Returns `(sessions recovered, sessions failed)`;
+    /// a failed session — one whose journaled commit did not replay
+    /// cleanly — is torn down rather than left half-applied. Replay is
+    /// deterministic, so failures never happen outside hand-corrupted
+    /// journals.
+    fn replay_journal(&self, ops: &[JournalOp]) -> (usize, usize) {
+        // Where each session's live tail starts: its last `Open`, unless
+        // a `Close` came after it.
+        let mut tail_start: HashMap<&str, usize> = HashMap::new();
         for (i, op) in ops.iter().enumerate() {
+            match op {
+                JournalOp::Open { session, .. } => {
+                    tail_start.insert(session, i);
+                }
+                JournalOp::Delta { .. } => {}
+                JournalOp::Close { session } => {
+                    tail_start.remove(session.as_str());
+                }
+            }
+        }
+        let mut failed: HashSet<&str> = HashSet::new();
+        for (i, op) in ops.iter().enumerate() {
+            if tail_start.get(op.session()).is_none_or(|&start| i < start) {
+                continue;
+            }
             let req = match op {
                 JournalOp::Open { session, base } => {
                     RepartitionRequest::open(session.clone(), base.clone())
@@ -222,60 +241,18 @@ impl Service {
                 }
                 JournalOp::Close { session } => RepartitionRequest::close(session.clone()),
             };
-            self.enqueue_session(i, req, tx.clone(), false);
-        }
-        drop(tx);
-        let responses = collect_in_order(rx, ops.len());
-        let mut alive: HashMap<&str, bool> = HashMap::new();
-        let mut failed: HashSet<&str> = HashSet::new();
-        for (op, resp) in ops.iter().zip(&responses) {
-            let ok = match op {
-                JournalOp::Open { .. } | JournalOp::Delta { .. } => {
-                    matches!(resp.outcome.verdict, Verdict::Accepted { .. })
-                }
-                JournalOp::Close { .. } => true,
-            };
-            match op {
-                JournalOp::Open { session, .. } => {
-                    alive.insert(session.as_str(), true);
-                }
-                JournalOp::Delta { .. } => {}
-                JournalOp::Close { session } => {
-                    alive.insert(session.as_str(), false);
-                }
-            }
-            if !ok {
+            let resp = self.submit_session(self.session_job(i, req, false));
+            if !matches!(resp.outcome.verdict, Verdict::Accepted { .. }) {
                 failed.insert(op.session());
             }
         }
-        let teardown: Vec<String> = failed
-            .iter()
-            .filter(|name| alive.get(**name).copied().unwrap_or(false))
-            .map(|name| name.to_string())
-            .collect();
-        let (tx, rx) = mpsc::channel();
-        for (i, name) in teardown.iter().enumerate() {
-            self.enqueue_session(
-                i,
-                RepartitionRequest::close(name.clone()),
-                tx.clone(),
-                false,
-            );
+        for name in &failed {
+            self.submit_session(self.session_job(0, RepartitionRequest::close(*name), false));
         }
-        drop(tx);
-        for _ in rx {}
-        let recovered = alive
-            .iter()
-            .filter(|(name, live)| **live && !failed.contains(*name))
-            .count();
-        (ops.len(), recovered, failed.len())
+        (tail_start.len() - failed.len(), failed.len())
     }
 
-    fn new_seeded(cfg: ServiceConfig, entries: Vec<MemoEntry>) -> Self {
-        Self::new_seeded_durable(cfg, entries, None)
-    }
-
-    fn new_seeded_durable(
+    fn new_seeded(
         cfg: ServiceConfig,
         entries: Vec<MemoEntry>,
         durability: Option<Arc<DurabilityState>>,
@@ -298,28 +275,21 @@ impl Service {
             panics: AtomicU64::new(0),
             busy_ns: (0..shards).map(|_| AtomicU64::new(0)).collect(),
         });
-        let queues: Vec<Arc<BoundedQueue<Job>>> = (0..shards)
-            .map(|_| Arc::new(BoundedQueue::new(cfg.queue_capacity)))
-            .collect();
-        let workers = queues
+        let shards = memos
             .iter()
-            .zip(&memos)
             .enumerate()
-            .map(|(idx, (q, memo))| {
-                let q = Arc::clone(q);
-                let memo = Arc::clone(memo);
-                let stats = Arc::clone(&stats);
-                let dur = durability.clone();
-                std::thread::Builder::new()
-                    .name(format!("rmts-svc-shard-{idx}"))
-                    .spawn(move || Shard::run(idx, q, stats, memo, dur))
-                    .expect("spawn shard worker")
+            .map(|(idx, memo)| {
+                Mutex::new(Shard::new(
+                    idx,
+                    Arc::clone(memo),
+                    Arc::clone(&stats),
+                    durability.clone(),
+                ))
             })
             .collect();
         Service {
-            queues,
+            shards,
             memos,
-            workers: Mutex::new(workers),
             stats,
             seq: AtomicUsize::new(0),
             durability,
@@ -329,13 +299,17 @@ impl Service {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.queues.len()
+        self.shards.len()
     }
 
-    /// Submits one request. A memo hit is answered before this returns;
-    /// a miss blocks only if the target shard's queue is full
-    /// (backpressure). The returned [`Ticket`] resolves to the response;
-    /// its `index` is the service-wide submission sequence number.
+    /// Submits one request and serves it on the calling thread: a memo
+    /// hit without any shard lock, a miss under its shard's lock. The
+    /// returned [`Ticket`] holds the response; its `index` is the
+    /// service-wide submission sequence number.
+    ///
+    /// # Panics
+    ///
+    /// On a miss after [`Service::shutdown`]. A hit is still answered.
     pub fn submit(&self, req: AnalyzeRequest) -> Ticket {
         let index = self.seq.fetch_add(1, Ordering::Relaxed);
         self.submit_indexed(index, req)
@@ -345,14 +319,18 @@ impl Service {
     /// front ends use per-connection ordinals so a connection's response
     /// stream is indexed exactly like a `serve-batch` JSONL stream.
     pub fn submit_indexed(&self, index: usize, req: AnalyzeRequest) -> Ticket {
-        let (tx, rx) = mpsc::channel();
-        let canon = CanonJob::Owned(CanonicalSet::of_pairs(&req.taskset));
-        self.enqueue(index, req, canon, tx);
-        Ticket { rx }
+        Ticket {
+            resp: self.submit_analyze(self.analyze_job(index, req)),
+        }
     }
 
-    /// Submits one session operation (v2). Ops for the same session name
+    /// Submits one session operation (v2) and serves it on the calling
+    /// thread, under its shard's lock. Ops for the same session name
     /// always land on the same shard and are served in submission order.
+    ///
+    /// # Panics
+    ///
+    /// After [`Service::shutdown`].
     pub fn submit_repartition(&self, req: RepartitionRequest) -> Ticket {
         let index = self.seq.fetch_add(1, Ordering::Relaxed);
         self.submit_repartition_indexed(index, req)
@@ -361,75 +339,73 @@ impl Service {
     /// [`Service::submit_repartition`] with a caller-chosen response
     /// index (see [`Service::submit_indexed`]).
     pub fn submit_repartition_indexed(&self, index: usize, req: RepartitionRequest) -> Ticket {
-        let (tx, rx) = mpsc::channel();
-        self.enqueue_session(index, req, tx, true);
-        Ticket { rx }
+        Ticket {
+            resp: self.submit_session(self.session_job(index, req, true)),
+        }
     }
 
     /// Runs a mixed v1/v2 request stream, returning responses in request
-    /// order. Same-session ops serialize through one shard FIFO, so a
-    /// JSONL session script behaves exactly like sequential submission;
-    /// unrelated requests still fan out across the fleet.
+    /// order. Requests are grouped by shard in submission order and each
+    /// group is served by one scoped worker, so same-session ops run in
+    /// order — a JSONL session script behaves exactly like sequential
+    /// submission — while unrelated requests fan out across the fleet.
     pub fn run_stream(&self, reqs: Vec<Request>) -> Vec<Response> {
-        let n = reqs.len();
-        let (tx, rx) = mpsc::channel();
-        for (i, req) in reqs.into_iter().enumerate() {
-            match req {
+        let mut groups: Vec<Vec<Routed>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
+        for (index, req) in reqs.into_iter().enumerate() {
+            let (hash, job) = match req {
                 Request::Analyze(req) => {
-                    let canon = CanonJob::Owned(CanonicalSet::of_pairs(&req.taskset));
-                    self.enqueue(i, req, canon, tx.clone());
+                    let job = self.analyze_job(index, req);
+                    (job.canon.hash(), Routed::Analyze(job))
                 }
-                Request::Repartition(req) => self.enqueue_session(i, req, tx.clone(), true),
-            }
+                Request::Repartition(req) => {
+                    let job = self.session_job(index, req, true);
+                    (job.hash, Routed::Session(job))
+                }
+            };
+            groups[self.shard_of(hash)].push(job);
         }
-        drop(tx);
-        collect_in_order(rx, n)
+        let mut responses: Vec<Response> = std::thread::scope(|scope| {
+            let workers: Vec<_> = groups
+                .into_iter()
+                .filter(|group| !group.is_empty())
+                .map(|group| {
+                    scope.spawn(move || {
+                        group
+                            .into_iter()
+                            .map(|job| match job {
+                                Routed::Analyze(job) => self.submit_analyze(job),
+                                Routed::Session(job) => self.submit_session(job),
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        });
+        responses.sort_unstable_by_key(|r| r.index);
+        responses
     }
 
-    /// Analyzes a whole batch, returning responses in request order.
-    /// Memory stays flat regardless of batch size: at most
-    /// `shards × queue_capacity` requests are in flight (submission blocks
-    /// on saturated shards), and each response is collected as it lands.
+    /// Analyzes a whole batch, returning responses in request order —
+    /// [`Service::run_stream`] over v1 requests.
     ///
     /// When an `obs` recording is active on the calling thread, the batch
     /// emits `svc.*` counters/histograms (requests, memo hits/misses,
-    /// queue high-water mark, per-shard busy time, wall latency).
+    /// panics, per-shard busy time, wall latency).
     pub fn analyze_batch(&self, reqs: Vec<AnalyzeRequest>) -> Vec<Response> {
         let t0 = Instant::now();
         let before = self.stats();
         let n = reqs.len();
-        let (tx, rx) = mpsc::channel();
-        // Canonicalize the whole batch into one structure-of-arrays arena
-        // up front: one shared allocation the shards read slices of,
-        // instead of three `Vec`s per request (see `CanonicalBatch`).
-        let mut batch = CanonicalBatch::with_capacity(n);
-        for req in &reqs {
-            batch.push(&req.taskset);
-        }
-        let batch = Arc::new(batch);
-        // Submit-then-collect cannot deadlock: shards reply through this
-        // unbounded mpsc channel and never block sending, so saturated
-        // request queues always drain even while we are still submitting.
-        for (i, req) in reqs.into_iter().enumerate() {
-            let canon = CanonJob::Shared {
-                batch: Arc::clone(&batch),
-                idx: i,
-            };
-            self.enqueue(i, req, canon, tx.clone());
-        }
-        drop(tx);
-        let responses = collect_in_order(rx, n);
+        let responses = self.run_stream(reqs.into_iter().map(Request::Analyze).collect());
         if rmts_obs::enabled() {
             let after = self.stats();
             rmts_obs::count("svc.batch.requests", n as u64);
             rmts_obs::count("svc.memo.hits", after.memo_hits - before.memo_hits);
             rmts_obs::count("svc.memo.misses", after.memo_misses - before.memo_misses);
             rmts_obs::count("svc.panics", after.panics - before.panics);
-            rmts_obs::count(
-                "svc.queue.backpressure_waits",
-                after.backpressure_waits - before.backpressure_waits,
-            );
-            rmts_obs::observe("svc.queue.max_depth", after.max_queue_depth as u64);
             rmts_obs::observe("svc.batch.latency_us", t0.elapsed().as_micros() as u64);
             for (a, b) in after.shard_busy_ns.iter().zip(before.shard_busy_ns.iter()) {
                 rmts_obs::observe("svc.shard.busy_us", (a - b) / 1_000);
@@ -438,57 +414,68 @@ impl Service {
         responses
     }
 
-    fn enqueue(
-        &self,
-        index: usize,
-        req: AnalyzeRequest,
-        canon: CanonJob,
-        reply: mpsc::Sender<Response>,
-    ) {
-        // Route by canonical hash: all duplicates of a task set share a
-        // shard, so the second duplicate always finds the first's memo
-        // entry (or queues behind the job that will create it).
-        let shard = (canon.hash() % self.queues.len() as u64) as usize;
+    /// The shard a routing hash lands on.
+    fn shard_of(&self, hash: u64) -> usize {
+        (hash % self.shards.len() as u64) as usize
+    }
+
+    /// Canonicalizes and counts one v1 submission.
+    fn analyze_job(&self, index: usize, req: AnalyzeRequest) -> AnalyzeJob {
         self.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        let job = AnalyzeJob {
+        let canon = CanonicalSet::of_pairs(&req.taskset);
+        AnalyzeJob {
             index,
             engine: engine_key(&req, canon.pairs().len()),
             canon,
             req,
-            reply,
-        };
-        // A hit is answered here, on the submitting thread: no queue, no
-        // shard wake-up. A miss goes to the shard, which re-checks before
-        // analysing.
-        match self.memos[shard].get(&job) {
-            Some(outcome) => job.answer(shard, outcome, true, &self.stats),
-            None => self.queues[shard]
-                .push(Job::Analyze(job))
-                .expect("submission after Service::shutdown (queues are closed)"),
         }
     }
 
-    fn enqueue_session(
-        &self,
-        index: usize,
-        req: RepartitionRequest,
-        reply: mpsc::Sender<Response>,
-        record: bool,
-    ) {
-        // Route by session name: the session's state lives on exactly one
-        // shard, and that shard's FIFO serializes its ops.
-        let hash = fnv1a(FNV_OFFSET, req.session.as_bytes());
-        let shard = (hash % self.queues.len() as u64) as usize;
+    fn submit_analyze(&self, job: AnalyzeJob) -> Response {
+        // Route by canonical hash: all duplicates of a task set share a
+        // shard, so the second duplicate always finds the first's memo
+        // entry (or waits for the lock behind the job that creates it).
+        let shard = self.shard_of(job.canon.hash());
+        // A hit is answered here, without the shard lock; a miss takes the
+        // lock, and the shard re-checks before analysing.
+        match self.memos[shard].get(&job) {
+            Some(outcome) => job.answer(shard, outcome, true, &self.stats),
+            None => self.on_shard(shard, |s| s.serve(job)),
+        }
+    }
+
+    /// Hashes and counts one session op. `record` is `false` only for
+    /// recovery replay.
+    fn session_job(&self, index: usize, req: RepartitionRequest, record: bool) -> SessionJob {
         self.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        self.queues[shard]
-            .push(Job::Session(SessionJob {
-                index,
-                hash,
-                req,
-                reply,
-                record,
-            }))
-            .expect("submission after Service::shutdown (queues are closed)");
+        SessionJob {
+            index,
+            hash: fnv1a(FNV_OFFSET, req.session.as_bytes()),
+            req,
+            record,
+        }
+    }
+
+    fn submit_session(&self, job: SessionJob) -> Response {
+        // Route by session name: the session's state lives on exactly one
+        // shard, and that shard's lock serializes its ops.
+        self.on_shard(self.shard_of(job.hash), |s| s.serve_session(job))
+    }
+
+    /// Runs `serve` under shard `idx`'s lock and adds its time there to
+    /// the shard's busy time before returning.
+    fn on_shard(&self, idx: usize, serve: impl FnOnce(&mut Shard) -> Response) -> Response {
+        let mut shard = shard::lock(&self.shards[idx]);
+        if shard.closed {
+            // Release the lock first: this panic must not poison it.
+            drop(shard);
+            panic!("submission after Service::shutdown (the shards are closed)");
+        }
+        let t0 = Instant::now();
+        let resp = serve(&mut shard);
+        let ns = t0.elapsed().as_nanos() as u64;
+        self.stats.busy_ns[idx].fetch_add(ns, Ordering::Relaxed);
+        resp
     }
 
     /// A statistics snapshot.
@@ -499,8 +486,8 @@ impl Service {
             memo_hits: self.stats.memo_hits.load(Ordering::Relaxed),
             memo_misses: self.stats.memo_misses.load(Ordering::Relaxed),
             panics: self.stats.panics.load(Ordering::Relaxed),
-            max_queue_depth: self.queues.iter().map(|q| q.max_depth()).max().unwrap_or(0),
-            backpressure_waits: self.queues.iter().map(|q| q.push_waits()).sum(),
+            max_queue_depth: 0,
+            backpressure_waits: 0,
             shard_busy_ns: self
                 .stats
                 .busy_ns
@@ -515,15 +502,16 @@ impl Service {
         self.durability.as_ref().map(|d| d.stats())
     }
 
-    /// Runs one checkpoint **now** (durable services only): a
-    /// stop-the-world consistent cut of the whole fleet, written as a new
-    /// generation (memo snapshot + compacted journal), after which the
-    /// prior generation is deleted. Serialized against the background
-    /// scheduler and shutdown by the snapshot-generation lock. Returns
-    /// `Ok(None)` on a non-durable service or when shutdown won the race.
+    /// Runs one checkpoint **now** (durable services only): a consistent
+    /// cut of the whole fleet taken under every shard lock, written as a
+    /// new generation (memo snapshot + compacted journal), after which the
+    /// prior generation is deleted. Memo hits are still answered while it
+    /// runs. Serialized against the background scheduler and shutdown by
+    /// the snapshot-generation lock. Returns `Ok(None)` on a non-durable
+    /// service or after shutdown.
     pub fn checkpoint(&self) -> io::Result<Option<CheckpointReport>> {
         match &self.durability {
-            Some(dur) => durability::run_checkpoint(&self.queues, dur),
+            Some(dur) => durability::run_checkpoint(&self.shards, dur),
             None => Ok(None),
         }
     }
@@ -540,16 +528,16 @@ impl Service {
         }
     }
 
-    /// Graceful shutdown: drains every in-flight and queued request,
-    /// stops the shard fleet, and returns the final statistics.
+    /// Graceful shutdown: waits for every job in progress, closes the
+    /// shards, and returns the final statistics.
     ///
-    /// The drain is a **barrier**, not a best-effort flush: an export job
-    /// is enqueued behind every previously accepted request on each
-    /// shard's FIFO, so by the time it answers, every accepted request
-    /// has been served (its response delivered, its outcome memoized).
-    /// Misses racing past shutdown are refused by the closed queues, never
-    /// half-served; a memo hit needs no shard and is answered in full.
-    /// Idempotent — a second call is a no-op.
+    /// The drain is a **barrier**, not a best-effort flush: shutdown takes
+    /// every shard lock in index order, so each job that took a lock
+    /// before it has finished (its response built, its outcome memoized),
+    /// and it marks each shard closed before releasing the lock. A miss
+    /// submitted after that is refused with a panic, never half-served; a
+    /// memo hit needs no shard and is answered in full. Idempotent — a
+    /// second call is a no-op.
     ///
     /// On a durable service the scheduler is stopped first and a final
     /// generation is written under the snapshot-generation lock, so a
@@ -563,11 +551,11 @@ impl Service {
 
     /// [`Service::shutdown`], then writes the drained memo tables to
     /// `path` atomically (temp file + rename). Every request accepted
-    /// before the call is analyzed, answered, and — via the FIFO drain
-    /// barrier — present in the written snapshot. On a durable service
-    /// the final generation is written first, and a failure to write it
-    /// is returned. A second call is a no-op that leaves the first
-    /// snapshot in place.
+    /// before the call is analyzed, answered, and — via the drain barrier
+    /// — present in the written snapshot. On a durable service the final
+    /// generation is written first, and a failure to write it is
+    /// returned. A second call is a no-op that leaves the first snapshot
+    /// in place.
     pub fn shutdown_with_snapshot(&self, path: &Path) -> io::Result<SnapshotReport> {
         match self.drain_and_persist()? {
             Some(cut) => snapshot::write_snapshot(path, &cut.memo),
@@ -580,71 +568,35 @@ impl Service {
         }
     }
 
-    /// The shared shutdown: stops the scheduler, drains the fleet behind
-    /// the export barrier and, on a durable service, writes the final
-    /// generation — under the snapshot-generation lock the scheduler
-    /// takes, so the two writers never interleave on the same paths.
-    /// Returns the drained cut, or `None` when the fleet was already
-    /// drained (second shutdown).
+    /// The shared shutdown: stops the scheduler, takes the checkpoint
+    /// lock and then every shard lock, closes the shards, exports the cut
+    /// and, on a durable service, writes the final generation — under the
+    /// snapshot-generation lock the scheduler takes, so the two writers
+    /// never interleave on the same paths. Returns the drained cut, or
+    /// `None` when the fleet was already closed (second shutdown).
     fn drain_and_persist(&self) -> io::Result<Option<ShardExport>> {
         self.stop_scheduler();
         let dur = self.durability.as_deref();
         let _guard = dur.map(|d| d.checkpoint_lock.lock().expect("checkpoint lock poisoned"));
-        // An already-closed queue (second shutdown) yields no export.
-        let exports = self
-            .queues
-            .iter()
-            .filter_map(|q| {
-                let (reply, export) = mpsc::channel();
-                q.push(Job::Export {
-                    reply,
-                    resume: None,
-                })
-                .is_ok()
-                .then_some(export)
-            })
-            .collect();
-        // The workers answer every export before they exit; the answers
-        // wait in their channels.
-        self.close_and_join();
-        let cut = durability::merge(exports);
-        if let (Some(dur), Some(cut)) = (dur, &cut) {
-            durability::write_generation(dur, cut)?;
+        let mut fleet = shard::lock_all(&self.shards);
+        if fleet[0].closed {
+            return Ok(None);
         }
-        Ok(cut)
-    }
-
-    /// Closes every shard queue and joins the workers; idempotent.
-    fn close_and_join(&self) {
-        for q in &self.queues {
-            q.close();
+        for shard in fleet.iter_mut() {
+            shard.closed = true;
         }
-        let workers: Vec<JoinHandle<()>> = {
-            let mut guard = self.workers.lock().expect("worker registry poisoned");
-            guard.drain(..).collect()
-        };
-        for w in workers {
-            // A shard that panicked outside catch_unwind is a bug; don't
-            // double-panic while unwinding, though.
-            if w.join().is_err() && !std::thread::panicking() {
-                panic!("rmts-svc shard worker panicked");
-            }
+        let cut = durability::merge(&fleet);
+        if let Some(dur) = dur {
+            durability::write_generation(dur, &cut)?;
         }
+        Ok(Some(cut))
     }
 }
 
-/// Collects the `n` responses of one submission from `rx` into request
-/// order (a response's `index` is its slot). The caller drops its own
-/// sender first, so the loop ends once every job has answered.
-fn collect_in_order(rx: mpsc::Receiver<Response>, n: usize) -> Vec<Response> {
-    let mut out: Vec<Option<Response>> = (0..n).map(|_| None).collect();
-    for resp in rx {
-        let slot = resp.index;
-        out[slot] = Some(resp);
-    }
-    out.into_iter()
-        .map(|r| r.expect("every submitted request gets exactly one response"))
-        .collect()
+/// A batch request, routed: what its shard's worker serves.
+enum Routed {
+    Analyze(AnalyzeJob),
+    Session(SessionJob),
 }
 
 /// Reads the memo snapshot at `path` and emits the
@@ -661,11 +613,63 @@ fn restore_memo(path: &Path) -> (Vec<MemoEntry>, RecordReport) {
     (entries, report)
 }
 
-impl Drop for Service {
-    fn drop(&mut self) {
-        // Stop the snapshot scheduler before closing the queues so an
-        // in-flight checkpoint completes against a live fleet.
-        self.stop_scheduler();
-        self.close_and_join();
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rmts_core::AlgorithmSpec;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// A memo hit takes no shard lock, so it is answered while a
+    /// checkpoint holds every one of them.
+    #[test]
+    fn memo_hits_are_answered_while_every_shard_lock_is_held() {
+        let svc = Service::new(ServiceConfig::new().with_shards(2));
+        let req = AnalyzeRequest::new(
+            vec![(1, 4), (2, 8), (2, 8), (4, 16)],
+            2,
+            AlgorithmSpec::RmTsLight,
+        );
+        let warm = svc.submit(req.clone()).wait();
+        assert!(!warm.memo_hit);
+
+        let fleet = shard::lock_all(&svc.shards);
+        let (tx, rx) = mpsc::channel();
+        let svc = &svc;
+        std::thread::scope(|scope| {
+            scope.spawn(move || tx.send(svc.submit(req).wait()).unwrap());
+            let answered = rx.recv_timeout(Duration::from_secs(30));
+            // Release the locks before asserting, so a failure cannot
+            // leave the submitter blocked and the scope hanging.
+            drop(fleet);
+            let hit = answered.expect("a memo hit waited for a shard lock");
+            assert!(hit.memo_hit);
+            assert_eq!(hit.outcome, warm.outcome);
+        });
+    }
+
+    /// After shutdown a hit is still answered, a miss panics without
+    /// poisoning its shard's lock, and a second shutdown is a no-op.
+    #[test]
+    fn shutdown_refuses_misses_without_poisoning_the_shards() {
+        let svc = Service::new(ServiceConfig::new().with_shards(1));
+        let warm = AnalyzeRequest::new(vec![(1, 4), (2, 8)], 2, AlgorithmSpec::RmTsLight);
+        assert!(!svc.submit(warm.clone()).wait().memo_hit);
+        svc.shutdown();
+        assert!(svc.submit(warm).wait().memo_hit);
+
+        let cold = AnalyzeRequest::new(vec![(1, 5), (2, 9)], 2, AlgorithmSpec::RmTsLight);
+        let refused = std::panic::catch_unwind(AssertUnwindSafe(|| svc.submit(cold)));
+        assert!(refused.is_err(), "a miss after shutdown must be refused");
+        assert!(!svc.shards[0].is_poisoned());
+
+        let path = std::env::temp_dir().join(format!(
+            "rmts_service_second_shutdown_{}.snap",
+            std::process::id()
+        ));
+        let second = svc.shutdown_with_snapshot(&path).unwrap();
+        assert_eq!(second.entries, 0);
+        assert!(!path.exists(), "a second shutdown writes nothing");
     }
 }

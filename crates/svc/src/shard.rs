@@ -1,36 +1,42 @@
-//! A worker shard: long-lived engines, a memo table, and panic isolation.
+//! A shard: long-lived engines, a memo table, live sessions, and panic
+//! isolation — behind one lock.
 //!
-//! Each shard is one OS thread that owns an **engine arena** — one built
-//! [`DynPartitioner`] per distinct engine fingerprint (algorithm, options
-//! and task-set size for the size-dependent SPA thresholds), so a million
-//! requests against the same configuration construct the engine once —
-//! and is the only writer of a **memo table** ([`Memo`]):
+//! A shard is plain state, not a thread. It owns an **engine arena** —
+//! one built [`DynPartitioner`] per distinct engine fingerprint
+//! (algorithm, options and task-set size for the size-dependent SPA
+//! thresholds), so a million requests against the same configuration
+//! construct the engine once — plus a partitioning workspace and the
+//! live sessions routed to it. The service keeps each shard behind its
+//! own `Mutex`, and every job runs **on the thread that submits it**,
+//! under that lock: [`Shard::serve`] and [`Shard::serve_session`] serve
+//! one job and return its [`Response`]. Ops on one session always route
+//! to one shard, so the lock serializes them in submission order.
+//!
+//! A shard is the only writer of its **memo table** ([`Memo`]):
 //! `(canonical pairs, m, engine fingerprint) → Arc<AnalysisOutcome>`. The
 //! key stores the *full* canonical pair list, not a hash, so collisions
 //! are impossible; the routing hash only decides which shard a request
-//! lands on.
-//!
-//! The memo is shared read-mostly (an `RwLock` behind an `Arc`). The
-//! submitting thread looks a v1 request up itself and answers a hit on the
-//! spot, so a hit never touches the queue or the shard thread. Only misses
-//! travel to the shard, which looks the key up **again** before analysing:
-//! a duplicate queued behind the job that creates its entry is still a
-//! hit. Because only the shard inserts, and it re-checks before every
-//! analysis, each distinct key is analysed exactly once, and for one
-//! submitter its first occurrence is the miss — hit/miss labels and
-//! counters are a function of the request stream, not of thread timing.
+//! lands on. The memo is shared read-mostly (an `RwLock` behind an
+//! `Arc`): the submitting thread looks a v1 request up itself and answers
+//! a hit on the spot, without the shard lock. A miss takes the lock and
+//! looks the key up **again** before analysing: a duplicate that waited
+//! for the lock behind the job creating its entry is still a hit. Because
+//! only a lock holder inserts, and it re-checks before every analysis,
+//! each distinct key is analysed exactly once, and for one submitter its
+//! first occurrence is the miss — hit/miss labels and counters are a
+//! function of the request stream, not of thread timing.
 //!
 //! A request that panics inside the engine (e.g. `m = 0` trips the
 //! engines' `assert!(m > 0)`) is contained by per-request `catch_unwind`
 //! — sound because engines are plain configuration values: all mutable
 //! analysis state (processor lists, RTA caches) lives in the panicked
 //! call's own frame and is discarded with it. The requester receives a
-//! [`Verdict::Invalid`] response and the shard keeps serving.
+//! [`Verdict::Invalid`] response, the lock stays unpoisoned, and the
+//! shard keeps serving.
 
-use crate::canonical::{fnv1a, CanonicalBatch, CanonicalSet};
+use crate::canonical::{fnv1a, CanonicalSet};
 use crate::durability::DurabilityState;
 use crate::journal::JournalOp;
-use crate::queue::BoundedQueue;
 use crate::request::{
     AnalysisOutcome, AnalyzeRequest, RepartitionRequest, Response, SessionMeta, SessionOp, Verdict,
 };
@@ -40,76 +46,27 @@ use rmts_core::{
     DynPartitioner, Partition, PartitionReject, PartitionSession, PartitionWorkspace,
     RepartitionError,
 };
-use rmts_taskmodel::{ModelError, TaskSet};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, RwLock};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
-/// A job's canonical form: either its own [`CanonicalSet`] (single
-/// submissions) or a slice of the batch-wide [`CanonicalBatch`] arena
-/// (batch submissions — one shared allocation instead of three `Vec`s per
-/// request).
-pub(crate) enum CanonJob {
-    /// A per-request canonical set ([`crate::Service::submit`]).
-    Owned(CanonicalSet),
-    /// Set `idx` of a batch-wide arena
-    /// ([`crate::Service::analyze_batch`]).
-    Shared {
-        batch: Arc<CanonicalBatch>,
-        idx: usize,
-    },
+/// Locks one shard. A poisoned shard lock is a bug, not a state to
+/// recover: engine calls run under per-request `catch_unwind`, so only a
+/// panic in the service's own code can poison the lock, and such a panic
+/// may have left a committed session op unjournaled.
+pub(crate) fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard
+        .lock()
+        .expect("shard lock poisoned: a panic escaped per-request isolation")
 }
 
-impl CanonJob {
-    /// The canonical `(wcet, period)` pairs — exact memo key material.
-    pub(crate) fn pairs(&self) -> &[(u64, u64)] {
-        match self {
-            CanonJob::Owned(c) => c.pairs(),
-            CanonJob::Shared { batch, idx } => batch.pairs(*idx),
-        }
-    }
-
-    /// FNV-1a routing hash of the canonical pairs.
-    pub(crate) fn hash(&self) -> u64 {
-        match self {
-            CanonJob::Owned(c) => c.hash(),
-            CanonJob::Shared { batch, idx } => batch.hash(*idx),
-        }
-    }
-
-    /// Materializes the canonical task set.
-    pub(crate) fn to_taskset(&self) -> Result<TaskSet, ModelError> {
-        match self {
-            CanonJob::Owned(c) => c.to_taskset(),
-            CanonJob::Shared { batch, idx } => batch.to_taskset(*idx),
-        }
-    }
-}
-
-/// One unit of work.
-pub(crate) enum Job {
-    /// A stateless v1 analysis that missed the memo on submission
-    /// (routed by canonical hash).
-    Analyze(AnalyzeJob),
-    /// A v2 session operation (routed by session-name hash, so all ops of
-    /// a session serialize through one shard's FIFO).
-    Session(SessionJob),
-    /// A full-state export, the one fleet barrier: the shard answers with
-    /// every memoized entry and live session it holds. Because shard
-    /// queues are FIFO, the export observes every job enqueued before it
-    /// — this is what makes [`Service::shutdown`](crate::Service::shutdown)
-    /// a drain barrier rather than a best-effort flush.
-    Export {
-        /// Where to send this shard's export.
-        reply: mpsc::Sender<ShardExport>,
-        /// Set for a checkpoint: the shard then **pauses** until the
-        /// checkpointer drops the sender (on any exit path), so with every
-        /// shard paused no op can commit and the checkpoint is a
-        /// consistent cut of the whole fleet.
-        resume: Option<mpsc::Receiver<()>>,
-    },
+/// Locks every shard in index order — the fleet's consistent cut, taken
+/// only by checkpoint and shutdown (after the checkpoint lock). With
+/// every lock held no job can run, so no op can commit and no journal
+/// append can land.
+pub(crate) fn lock_all(shards: &[Mutex<Shard>]) -> Vec<MutexGuard<'_, Shard>> {
+    shards.iter().map(lock).collect()
 }
 
 /// Everything a shard owns that durability cares about, in no particular
@@ -137,28 +94,27 @@ pub(crate) struct SessionState {
     pub digest: u64,
 }
 
-/// A canonicalized analyze request plus its reply channel.
+/// A canonicalized analyze request.
 pub(crate) struct AnalyzeJob {
     pub index: usize,
-    pub canon: CanonJob,
+    pub canon: CanonicalSet,
     pub req: AnalyzeRequest,
     /// The engine fingerprint ([`engine_key`]), formatted once at
     /// submission where the memo lookup first needs it.
     pub engine: String,
-    pub reply: mpsc::Sender<Response>,
 }
 
 impl AnalyzeJob {
-    /// Counts and delivers this job's answer. The shard answers misses
-    /// (and hits found on its re-check); [`crate::Service`] answers hits
-    /// found on the submitting thread.
+    /// Counts this job's answer and builds its response. The shard
+    /// answers misses (and hits found on its re-check);
+    /// [`crate::Service`] answers hits found without the lock.
     pub(crate) fn answer(
         self,
         shard: usize,
         outcome: Arc<AnalysisOutcome>,
         memo_hit: bool,
         stats: &SharedStats,
-    ) {
+    ) -> Response {
         let counter = if memo_hit {
             &stats.memo_hits
         } else {
@@ -166,27 +122,24 @@ impl AnalyzeJob {
         };
         counter.fetch_add(1, Ordering::Relaxed);
         stats.completed.fetch_add(1, Ordering::Relaxed);
-        // A dropped receiver (caller gave up on the ticket) is not an
-        // error for the answering side.
-        let _ = self.reply.send(Response {
+        Response {
             index: self.index,
             canonical_hash: self.canon.hash(),
             shard,
             memo_hit,
             session: None,
             outcome,
-        });
+        }
     }
 }
 
-/// A session operation plus its reply channel.
+/// A session operation.
 pub(crate) struct SessionJob {
     pub index: usize,
     /// Routing hash of the session name (echoed as the response's
     /// `canonical_hash` so records stay traceable to their shard).
     pub hash: u64,
     pub req: RepartitionRequest,
-    pub reply: mpsc::Sender<Response>,
     /// Whether committed mutations are journaled. `true` for live
     /// submissions; `false` only for recovery replay, whose ops are
     /// *already* in the journal being replayed.
@@ -215,10 +168,10 @@ struct MemoKey {
 
 type MemoBucket = Vec<(MemoKey, Arc<AnalysisOutcome>)>;
 
-/// One shard's memo table. Shared as `Arc<Memo>`: its shard is the only
-/// writer, every submitting thread reads it (see the module docs). Each
-/// method holds the lock only for its own duration, so no caller can
-/// carry a guard into a blocking queue push.
+/// One shard's memo table. Shared as `Arc<Memo>`: only the holder of its
+/// shard's lock writes it, every submitting thread reads it (see the
+/// module docs). Each method holds the table's own lock only for its own
+/// duration.
 ///
 /// Buckets are keyed by `(canonical routing hash, m)`; each bucket is
 /// scanned with full exact-equality [`MemoKey`] comparison, so hash
@@ -303,7 +256,7 @@ impl Memo {
 pub(crate) struct Shard {
     idx: usize,
     engines: HashMap<String, DynPartitioner>,
-    /// This shard's memo table; the shard is its only writer.
+    /// This shard's memo table; only this shard's lock holder writes it.
     memo: Arc<Memo>,
     /// Recycled partitioning buffers (processor pool + plan queue), reused
     /// across every fresh analysis this shard runs. Steady-state misses
@@ -317,6 +270,8 @@ pub(crate) struct Shard {
     stats: Arc<SharedStats>,
     /// Write-ahead journal handle (durable services only).
     dur: Option<Arc<DurabilityState>>,
+    /// Set by shutdown under this lock: the shard serves no further job.
+    pub(crate) closed: bool,
 }
 
 /// A live session plus its durable op history.
@@ -327,14 +282,13 @@ struct LiveSession {
 }
 
 impl Shard {
-    pub(crate) fn run(
+    pub(crate) fn new(
         idx: usize,
-        queue: Arc<BoundedQueue<Job>>,
-        stats: Arc<SharedStats>,
         memo: Arc<Memo>,
+        stats: Arc<SharedStats>,
         dur: Option<Arc<DurabilityState>>,
-    ) {
-        let mut shard = Shard {
+    ) -> Self {
+        Shard {
             idx,
             engines: HashMap::new(),
             memo,
@@ -342,35 +296,13 @@ impl Shard {
             sessions: HashMap::new(),
             stats,
             dur,
-        };
-        // Drain the queue in runs: one condvar round-trip (and, on a busy
-        // machine, one context switch) buys up to `capacity` jobs.
-        let run_len = queue.capacity();
-        while let Some(jobs) = queue.pop_many(run_len) {
-            let t0 = Instant::now();
-            for job in jobs {
-                match job {
-                    Job::Analyze(job) => shard.serve(job),
-                    Job::Session(job) => shard.serve_session(job),
-                    Job::Export { reply, resume } => {
-                        let _ = reply.send(shard.export_state());
-                        // A checkpoint pauses until the checkpointer
-                        // finishes (or drops its sender on an abort path —
-                        // same wake-up).
-                        if let Some(resume) = resume {
-                            let _ = resume.recv();
-                        }
-                    }
-                }
-            }
-            let ns = t0.elapsed().as_nanos() as u64;
-            shard.stats.busy_ns[idx].fetch_add(ns, Ordering::Relaxed);
+            closed: false,
         }
     }
 
     /// Serializes the memo table and session fleet for a checkpoint (or a
     /// drain barrier).
-    fn export_state(&self) -> ShardExport {
+    pub(crate) fn export_state(&self) -> ShardExport {
         let sessions = self
             .sessions
             .iter()
@@ -387,12 +319,14 @@ impl Shard {
         }
     }
 
-    fn serve(&mut self, job: AnalyzeJob) {
+    /// Serves one v1 job that missed the memo on its submitting thread.
+    pub(crate) fn serve(&mut self, job: AnalyzeJob) -> Response {
         let (outcome, memo_hit) = self.outcome_for(&job);
-        job.answer(self.idx, outcome, memo_hit, &self.stats);
+        job.answer(self.idx, outcome, memo_hit, &self.stats)
     }
 
-    fn serve_session(&mut self, job: SessionJob) {
+    /// Serves one session op.
+    pub(crate) fn serve_session(&mut self, job: SessionJob) -> Response {
         let (outcome, meta, mutation) = self.session_outcome(&job.req);
         // Write-ahead: the committed mutation must be journal-durable
         // *before* the response exists, so an acknowledged op can never be
@@ -406,17 +340,17 @@ impl Shard {
         // Session answers are stateful, never memoized.
         self.stats.memo_misses.fetch_add(1, Ordering::Relaxed);
         self.stats.completed.fetch_add(1, Ordering::Relaxed);
-        let _ = job.reply.send(Response {
+        Response {
             index: job.index,
             canonical_hash: job.hash,
             shard: self.idx,
             memo_hit: false,
             session: Some(meta),
             outcome: Arc::new(outcome),
-        });
+        }
     }
 
-    /// Serves one session op. The third return is the journal record the
+    /// Runs one session op. The third return is the journal record the
     /// op earned: `Some` exactly when durable state changed (an `Open`
     /// that stuck, a committed non-noop `Delta`, a `Close` of a live
     /// session, or a panic teardown — journaled as `Close` so the session
@@ -637,7 +571,8 @@ impl Shard {
 
     fn outcome_for(&mut self, job: &AnalyzeJob) -> (Arc<AnalysisOutcome>, bool) {
         // The submitter missed, but the entry may have been inserted since:
-        // a duplicate queued behind the job that created it is still a hit.
+        // a duplicate that waited for this lock behind the job that created
+        // it is still a hit.
         if let Some(hit) = self.memo.get(job) {
             return (hit, true);
         }

@@ -253,6 +253,74 @@ fn closed_sessions_do_not_resurrect() {
 }
 
 #[test]
+fn recovery_replays_only_the_live_tail() {
+    // `a` opens, commits, closes, re-opens and commits again; `b` opens
+    // and closes. Only `a`'s ops from its re-open onwards survive a
+    // checkpoint, and only they are replayed.
+    let history = [
+        Request::Repartition(RepartitionRequest::open("a", base_request())),
+        Request::Repartition(RepartitionRequest::delta(
+            "a",
+            TaskSetDelta::update(Task::from_ticks(1, 3, 8).unwrap()),
+        )),
+        Request::Repartition(RepartitionRequest::open("b", base_request())),
+        Request::Repartition(RepartitionRequest::delta(
+            "a",
+            TaskSetDelta::add(Task::from_ticks(7, 1, 16).unwrap()),
+        )),
+        Request::Repartition(RepartitionRequest::close("a")),
+        Request::Repartition(RepartitionRequest::close("b")),
+    ];
+    let live_tail = vec![
+        Request::Repartition(RepartitionRequest::open("a", base_request())),
+        Request::Repartition(RepartitionRequest::delta(
+            "a",
+            TaskSetDelta::update(Task::from_ticks(1, 3, 8).unwrap()),
+        )),
+        Request::Repartition(RepartitionRequest::delta(
+            "a",
+            TaskSetDelta::remove(TaskId(4)),
+        )),
+    ];
+    let ops: Vec<Request> = history.iter().chain(&live_tail).cloned().collect();
+    let probe = TaskSetDelta::update(Task::from_ticks(0, 2, 8).unwrap());
+
+    let control_dir = TempDir::new("live_tail_control");
+    let (control, _) =
+        Service::with_durability(ServiceConfig::new().with_shards(2), quiet(&control_dir)).unwrap();
+    assert_all_served(&control.run_stream(ops.clone()));
+    let expected = control.run_stream(vec![Request::Repartition(RepartitionRequest::delta(
+        "a",
+        probe.clone(),
+    ))]);
+
+    let dir = TempDir::new("live_tail");
+    run_and_crash(&dir, ops.clone(), None);
+    let (journal, _) = read_journal(&dir.0.join("journal.g0.log"), &engine_fingerprint());
+    assert_eq!(journal.len(), ops.len(), "every scripted op commits");
+    let (svc, rec) =
+        Service::with_durability(ServiceConfig::new().with_shards(2), quiet(&dir)).unwrap();
+    assert_eq!(rec.ops_replayed, journal.len(), "{rec:?}");
+    assert_eq!(rec.sessions_recovered, 1, "{rec:?}");
+    assert_eq!(rec.sessions_failed, 0, "{rec:?}");
+    assert_eq!(
+        svc.stats().completed,
+        live_tail.len() as u64,
+        "recovery must replay the live tail, not the whole journal"
+    );
+
+    let got = svc.run_stream(vec![Request::Repartition(RepartitionRequest::delta(
+        "a", probe,
+    ))]);
+    let (e, g) = (&expected[0], &got[0]);
+    assert_eq!(
+        e.session.as_ref().unwrap().path,
+        g.session.as_ref().unwrap().path
+    );
+    assert_eq!(*e.outcome, *g.outcome);
+}
+
+#[test]
 fn memo_survives_a_checkpoint_and_loss_is_bounded_by_the_interval() {
     let dir = TempDir::new("memo_bound");
     let reqs: Vec<AnalyzeRequest> = (2..8)

@@ -1,6 +1,6 @@
 //! Service-level guarantees: memo-hit ≡ fresh bit-identity, hits served
-//! on the submitting thread, bounded queues under backpressure,
-//! per-request budget isolation, and panic isolation.
+//! without a shard lock, one analysis per distinct question under
+//! concurrency, per-request budget isolation, and panic isolation.
 
 use rmts_core::{AlgorithmSpec, BoundSpec};
 use rmts_svc::{
@@ -86,8 +86,9 @@ fn memo_hits_are_bit_identical_to_fresh_analysis() {
 }
 
 /// K threads submit the same unseen set at once. Whichever submissions
-/// miss on their own thread queue up on one shard, which re-checks the
-/// memo before analysing: exactly one analysis, K − 1 hits, one answer.
+/// miss without the lock wait for one shard's lock, under which the memo
+/// is re-checked before analysing: exactly one analysis, K − 1 hits, one
+/// answer.
 #[test]
 fn concurrent_duplicates_are_analysed_once() {
     const K: usize = 8;
@@ -122,7 +123,7 @@ fn concurrent_duplicates_are_analysed_once() {
 
 /// A service restored from a snapshot answers a restored set from its
 /// memo — `memo_hit: true`, bit-identical to fresh analysis — without
-/// touching a shard: no shard busy time and no queue depth are recorded.
+/// touching a shard: no shard busy time is recorded.
 #[test]
 fn restored_hits_never_touch_a_shard() {
     let path = std::env::temp_dir().join(format!(
@@ -178,37 +179,6 @@ fn canonicalization_dedups_disguised_duplicates() {
         assert_eq!(r.canonical_hash, responses[0].canonical_hash);
         assert_eq!(r.shard, responses[0].shard, "duplicates share a shard");
     }
-}
-
-/// With one shard and a capacity-2 queue, a batch of expensive unique sets
-/// must never hold more than 2 requests in the queue — submission blocks
-/// instead (bounded memory), and at least one push had to wait.
-#[test]
-fn backpressure_bounds_the_queue() {
-    let svc = Service::new(ServiceConfig::new().with_shards(1).with_queue_capacity(2));
-    // 40 distinct sets: no memoization, every request does real work.
-    let reqs: Vec<AnalyzeRequest> = (0..40u64)
-        .map(|i| {
-            AnalyzeRequest::new(
-                vec![(1, 4 + i), (2, 8 + i), (3, 16 + i), (5, 32 + i)],
-                2,
-                AlgorithmSpec::RmTsLight,
-            )
-        })
-        .collect();
-    let responses = svc.analyze_batch(reqs);
-    assert_eq!(responses.len(), 40);
-    let stats = svc.stats();
-    assert!(
-        stats.max_queue_depth <= 2,
-        "queue exceeded its bound: {}",
-        stats.max_queue_depth
-    );
-    assert!(
-        stats.backpressure_waits >= 1,
-        "a 40-request batch through a capacity-2 queue must block at least once"
-    );
-    assert_eq!(stats.memo_hits, 0);
 }
 
 /// A starved budget on one request must not leak into its neighbors: the

@@ -262,11 +262,11 @@ fn restore_counters_reach_the_obs_recording() {
 #[test]
 fn no_accepted_request_is_lost_between_shutdown_and_snapshot() {
     // Submit a burst and *immediately* shut down with a snapshot — no
-    // waiting on tickets first. The FIFO drain barrier guarantees every
+    // waiting on tickets first. The drain barrier guarantees every
     // accepted request is analyzed, answered, and present in the file.
     let dir = TempDir::new("drain");
     let path = dir.file("memo.snap");
-    let svc = Service::new(ServiceConfig::new().with_shards(3).with_queue_capacity(4));
+    let svc = Service::new(ServiceConfig::new().with_shards(3));
     let reqs: Vec<AnalyzeRequest> = (1..=24)
         .map(|k| {
             AnalyzeRequest::new(

@@ -39,7 +39,7 @@ start_server() { # args: extra serve flags...; stdin of the server is $WORK/ctl
     # Keep a writer fd on the fifo for the server's lifetime; closing it
     # later delivers stdin EOF = graceful stop.
     rm -f "$WORK/ctl"; mkfifo "$WORK/ctl"
-    "$CLI" serve --addr "$ADDR" --shards 2 --queue 8 --snapshot "$SNAP" "$@" \
+    "$CLI" serve --addr "$ADDR" --shards 2 --snapshot "$SNAP" "$@" \
         < "$WORK/ctl" > "$WORK/stdout.log" 2> "$WORK/stderr.log" &
     SERVER_PID=$!
     exec 8> "$WORK/ctl"

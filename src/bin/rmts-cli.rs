@@ -11,13 +11,13 @@
 //! rmts-cli fuzz      [--seed S] [--trials T] [--quick] [-n N] [-m M]
 //!                    [--panic-trial T] [--save-corpus DIR] [--json] [--stats]
 //! rmts-cli fuzz      --replay DIR                  # replay saved reproducers
-//! rmts-cli serve-batch [requests.jsonl] [--shards N] [--queue N] [--stats]
+//! rmts-cli serve-batch [requests.jsonl] [--shards N] [--stats]
 //!                    # JSONL requests on stdin/file -> JSONL responses on stdout
-//! rmts-cli repartition [stream.jsonl] [--shards N] [--queue N]
+//! rmts-cli repartition [stream.jsonl] [--shards N]
 //!                    # versioned JSONL session stream (v1 analyze + v2 open/delta lines)
 //! rmts-cli repartition --fuzz [--seed S] [--trials T] [--quick] [-n N] [-m M]
 //!                    [--deltas K] [--json]   # delta-stream differential campaign
-//! rmts-cli serve     [--addr A] [--shards N] [--queue N] [--clients N] [--rate R]
+//! rmts-cli serve     [--addr A] [--shards N] [--clients N] [--rate R]
 //!                    [--burst B] [--max-line BYTES] [--idle-timeout SECS]
 //!                    [--snapshot PATH] [--journal DIR] [--snapshot-interval SECS]
 //!                    [--snapshot-mutations M] [--stats]
@@ -57,10 +57,10 @@ const USAGE: &str = "usage:
   rmts-cli fuzz      [--seed S] [--trials T] [--quick] [-n N] [-m M] [--panic-trial T]
                      [--save-corpus DIR] [--json] [--stats]
   rmts-cli fuzz      --replay DIR
-  rmts-cli serve-batch [requests.jsonl] [--shards N] [--queue N] [--stats]
-  rmts-cli repartition [stream.jsonl] [--shards N] [--queue N]
+  rmts-cli serve-batch [requests.jsonl] [--shards N] [--stats]
+  rmts-cli repartition [stream.jsonl] [--shards N]
   rmts-cli repartition --fuzz [--seed S] [--trials T] [--quick] [-n N] [-m M] [--deltas K] [--json]
-  rmts-cli serve     [--addr A] [--shards N] [--queue N] [--clients N] [--rate R] [--burst B]
+  rmts-cli serve     [--addr A] [--shards N] [--clients N] [--rate R] [--burst B]
                      [--max-line BYTES] [--idle-timeout SECS] [--snapshot PATH]
                      [--journal DIR] [--snapshot-interval SECS] [--snapshot-mutations M] [--stats]
 
@@ -87,7 +87,7 @@ fuzz runs a seeded differential campaign (exit code 2 on divergence or trial fau
 serve-batch runs the sharded batch-analysis service over a JSONL request stream
 (one serialized AnalyzeRequest per line; blank lines and # comments skipped) read
 from the file argument or stdin. Responses are JSONL on stdout in request order;
-service statistics (memo hits, queue depth, per-shard busy time) go to stderr.
+service statistics (memo hits and misses, isolated panics) go to stderr.
 
 repartition replays a *versioned* JSONL stream through the same service: lines
 without a version field (or \"version\":1) are classic AnalyzeRequests, lines with
@@ -360,17 +360,9 @@ fn cmd_serve_batch(args: &[String]) -> Result<(), String> {
         .unwrap_or("4")
         .parse()
         .map_err(|e| format!("--shards: {e}"))?;
-    let queue: usize = flag_value(args, "--queue")
-        .unwrap_or("64")
-        .parse()
-        .map_err(|e| format!("--queue: {e}"))?;
 
     let recording = has_flag(args, "--stats").then(rmts::obs::Recording::start);
-    let svc = Service::new(
-        ServiceConfig::new()
-            .with_shards(shards)
-            .with_queue_capacity(queue),
-    );
+    let svc = Service::new(ServiceConfig::new().with_shards(shards));
     let n = reqs.len();
     let t0 = std::time::Instant::now();
     let responses = svc.analyze_batch(reqs);
@@ -380,14 +372,11 @@ fn cmd_serve_batch(args: &[String]) -> Result<(), String> {
     let stats = svc.stats();
     eprintln!(
         "served {n} request(s) in {:.1} ms on {shards} shard(s): \
-         {} memo hit(s), {} miss(es), {} panic(s) isolated, \
-         queue high-water {}, {} backpressure wait(s)",
+         {} memo hit(s), {} miss(es), {} panic(s) isolated",
         elapsed.as_secs_f64() * 1e3,
         stats.memo_hits,
         stats.memo_misses,
         stats.panics,
-        stats.max_queue_depth,
-        stats.backpressure_waits,
     );
     if let Some(rec) = recording {
         let snap = rec.finish();
@@ -421,16 +410,8 @@ fn cmd_repartition(args: &[String]) -> Result<ExitCode, String> {
         .unwrap_or("4")
         .parse()
         .map_err(|e| format!("--shards: {e}"))?;
-    let queue: usize = flag_value(args, "--queue")
-        .unwrap_or("64")
-        .parse()
-        .map_err(|e| format!("--queue: {e}"))?;
 
-    let svc = Service::new(
-        ServiceConfig::new()
-            .with_shards(shards)
-            .with_queue_capacity(queue),
-    );
+    let svc = Service::new(ServiceConfig::new().with_shards(shards));
     let n = reqs.len();
     let t0 = std::time::Instant::now();
     let responses = svc.run_stream(reqs);
@@ -455,10 +436,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .unwrap_or("4")
         .parse()
         .map_err(|e| format!("--shards: {e}"))?;
-    let queue: usize = flag_value(args, "--queue")
-        .unwrap_or("64")
-        .parse()
-        .map_err(|e| format!("--queue: {e}"))?;
     let clients: usize = flag_value(args, "--clients")
         .unwrap_or("32")
         .parse()
@@ -494,11 +471,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
     let mut cfg = NetConfig::new()
         .with_addr(addr)
-        .with_service(
-            ServiceConfig::new()
-                .with_shards(shards)
-                .with_queue_capacity(queue),
-        )
+        .with_service(ServiceConfig::new().with_shards(shards))
         .with_max_clients(clients)
         .with_rate(rate, burst)
         .with_max_line_len(max_line)

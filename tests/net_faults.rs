@@ -13,8 +13,7 @@ use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 fn start_server(cfg: NetConfig) -> Server {
-    Server::start(cfg.with_service(ServiceConfig::new().with_shards(2).with_queue_capacity(8)))
-        .unwrap()
+    Server::start(cfg.with_service(ServiceConfig::new().with_shards(2))).unwrap()
 }
 
 fn analyze_line() -> String {

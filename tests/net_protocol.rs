@@ -33,7 +33,7 @@ impl Drop for TempPath {
 }
 
 fn service_config() -> ServiceConfig {
-    ServiceConfig::new().with_shards(3).with_queue_capacity(16)
+    ServiceConfig::new().with_shards(3)
 }
 
 fn start_server() -> Server {
