@@ -8,15 +8,31 @@
 //! [`RepartitionRequest`]. Unknown versions are rejected with the line
 //! number, never guessed at.
 //!
+//! Decoding has two paths behind [`parse_line`]. A single-pass byte
+//! decoder handles the exact compact v1 line that
+//! `serde_json::to_string(&AnalyzeRequest)` writes — keys in declaration
+//! order, no whitespace, `"policy":null`, integers as plain digit runs, an
+//! algorithm string without escapes — and builds the request without a
+//! JSON value tree. Any other line (v2 session ops, spaced or reordered
+//! JSON, a non-null policy, every malformed line) goes through the
+//! vendored `serde_json` value tree, unchanged, so every typed error and
+//! its text stay the tree path's. A seeded oracle over generated and
+//! byte-mutated lines pins the two paths to the same answer.
+//!
 //! Responses mirror the split: a v1 answer renders as a
 //! [`ResponseRecord`] (byte-identical to the pre-versioning format), a v2
 //! answer as a [`SessionRecord`] carrying the session name and the
-//! repartition path taken.
+//! repartition path taken. Rendering writes the record head directly and
+//! serializes the shared outcome by reference, with the bytes the record
+//! types' own serialization gives.
 
 use crate::request::{
-    AnalysisOutcome, AnalyzeRequest, RepartitionRequest, Request, Response, WIRE_V1, WIRE_V2,
+    AnalysisOutcome, AnalyzeRequest, BudgetSpec, RepartitionRequest, Request, Response,
+    SessionMeta, WIRE_V1, WIRE_V2,
 };
+use rmts_core::AlgorithmSpec;
 use serde::{Deserialize, Serialize, Value};
+use std::fmt::Write;
 
 /// The serialized form of a [`Response`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -31,18 +47,6 @@ pub struct ResponseRecord {
     pub memo_hit: bool,
     /// The analysis answer.
     pub outcome: AnalysisOutcome,
-}
-
-impl From<&Response> for ResponseRecord {
-    fn from(r: &Response) -> Self {
-        ResponseRecord {
-            index: r.index,
-            canonical_hash: format!("{:016x}", r.canonical_hash),
-            shard: r.shard,
-            memo_hit: r.memo_hit,
-            outcome: (*r.outcome).clone(),
-        }
-    }
 }
 
 /// A v2 response line: the session name and repartition path alongside
@@ -79,27 +83,141 @@ fn line_version(v: &Value) -> Result<u64, String> {
 /// Parses one JSONL request line. Returns `Ok(None)` for blank lines and
 /// `#` comments, the versioned request otherwise. This is the unit the
 /// TCP front end (`rmts-net`) parses per received line; [`parse_stream`]
-/// is the same parser folded over a whole document.
+/// is the same parser folded over a whole document. The compact v1 line
+/// takes the single-pass decoder; every other line the value tree.
 pub fn parse_line(line: &str) -> Result<Option<Request>, String> {
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
     }
+    if let Some(req) = decode_compact_v1(line) {
+        return Ok(Some(Request::Analyze(req)));
+    }
+    parse_tree(line).map(Some)
+}
+
+/// The value-tree decoder: parses the (trimmed, non-blank) line into a
+/// `serde_json` value tree, reads its version and converts the tree into
+/// a typed request. It answers every line the compact decoder declines and
+/// is the reference the compact decoder is tested against.
+fn parse_tree(line: &str) -> Result<Request, String> {
     let value: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
     match line_version(&value)? {
-        WIRE_V1 => {
-            let req = AnalyzeRequest::from_value(&value)
-                .map_err(|e| format!("v1 analyze request: {e}"))?;
-            Ok(Some(Request::Analyze(req)))
-        }
-        WIRE_V2 => {
-            let req = RepartitionRequest::from_value(&value)
-                .map_err(|e| format!("v2 repartition request: {e}"))?;
-            Ok(Some(Request::Repartition(req)))
-        }
+        WIRE_V1 => AnalyzeRequest::from_value(&value)
+            .map(Request::Analyze)
+            .map_err(|e| format!("v1 analyze request: {e}")),
+        WIRE_V2 => RepartitionRequest::from_value(&value)
+            .map(Request::Repartition)
+            .map_err(|e| format!("v2 repartition request: {e}")),
         v => Err(format!(
             "unsupported protocol version {v} (this build speaks v1 and v2)"
         )),
+    }
+}
+
+/// Decodes exactly the compact v1 analyze line
+/// `{"taskset":[[C,T],…],"m":M,"algorithm":"S","policy":null,"budget":{"deadline_ms":X,"max_iterations":X,"max_probes":X,"horizon_cap":X},"degrade":B}`
+/// in one pass, where each `X` is `null` or a digit run and `B` is `true`
+/// or `false`. Returns `None` for anything else — a sign, fraction,
+/// exponent or `u64` overflow in a number, an escape in the algorithm
+/// string, a spec the algorithm conversion refuses, a non-null policy, or
+/// any byte left over — and the value tree then decides the line.
+fn decode_compact_v1(line: &str) -> Option<AnalyzeRequest> {
+    let mut s = Scan {
+        bytes: line.as_bytes(),
+        pos: 0,
+    };
+    s.eat(b"{\"taskset\":[")?;
+    let mut taskset = Vec::new();
+    if s.eat(b"]").is_none() {
+        loop {
+            s.eat(b"[")?;
+            let wcet = s.uint()?;
+            s.eat(b",")?;
+            let period = s.uint()?;
+            s.eat(b"]")?;
+            taskset.push((wcet, period));
+            if s.eat(b"]").is_some() {
+                break;
+            }
+            s.eat(b",")?;
+        }
+    }
+    s.eat(b",\"m\":")?;
+    let m = usize::try_from(s.uint()?).ok()?;
+    s.eat(b",\"algorithm\":\"")?;
+    let start = s.pos;
+    let len = s.bytes[start..].iter().position(|&b| b == b'"')?;
+    let name = &line[start..start + len];
+    if name.contains('\\') {
+        return None;
+    }
+    s.pos = start + len + 1;
+    // The same conversion the value tree applies, so legacy names such as
+    // `RmTsLight` keep their meaning.
+    let algorithm = AlgorithmSpec::from_value(&Value::Str(name.to_string())).ok()?;
+    s.eat(b",\"policy\":null,\"budget\":{\"deadline_ms\":")?;
+    let deadline_ms = s.opt_uint()?;
+    s.eat(b",\"max_iterations\":")?;
+    let max_iterations = s.opt_uint()?;
+    s.eat(b",\"max_probes\":")?;
+    let max_probes = s.opt_uint()?;
+    s.eat(b",\"horizon_cap\":")?;
+    let horizon_cap = s.opt_uint()?;
+    s.eat(b"},\"degrade\":")?;
+    let degrade = if s.eat(b"true").is_some() {
+        true
+    } else {
+        s.eat(b"false")?;
+        false
+    };
+    s.eat(b"}")?;
+    (s.pos == s.bytes.len()).then_some(AnalyzeRequest {
+        taskset,
+        m,
+        algorithm,
+        policy: None,
+        budget: BudgetSpec {
+            deadline_ms,
+            max_iterations,
+            max_probes,
+            horizon_cap,
+        },
+        degrade,
+    })
+}
+
+/// A cursor over one line's bytes for [`decode_compact_v1`].
+struct Scan<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Scan<'_> {
+    /// Consumes `lit` if the line continues with it.
+    fn eat(&mut self, lit: &[u8]) -> Option<()> {
+        let rest = self.bytes.get(self.pos..)?;
+        rest.starts_with(lit).then(|| self.pos += lit.len())
+    }
+
+    /// A non-empty digit run as a `u64`; `None` on overflow.
+    fn uint(&mut self) -> Option<u64> {
+        let start = self.pos;
+        let mut n: u64 = 0;
+        while let Some(&b) = self.bytes.get(self.pos).filter(|b| b.is_ascii_digit()) {
+            n = n.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+            self.pos += 1;
+        }
+        (self.pos > start).then_some(n)
+    }
+
+    /// `null` or a digit run.
+    fn opt_uint(&mut self) -> Option<Option<u64>> {
+        if self.eat(b"null").is_some() {
+            Some(None)
+        } else {
+            self.uint().map(Some)
+        }
     }
 }
 
@@ -136,9 +254,8 @@ pub fn parse_requests(input: &str) -> Result<Vec<AnalyzeRequest>, String> {
 pub fn render_responses(responses: &[Response]) -> String {
     let mut out = String::new();
     for r in responses {
-        let record = ResponseRecord::from(r);
-        out.push_str(&serde_json::to_string(&record).expect("response records always serialize"));
-        out.push('\n');
+        push_response_head(&mut out, r);
+        push_outcome(&mut out, &r.outcome);
     }
     out
 }
@@ -149,21 +266,44 @@ pub fn render_responses(responses: &[Response]) -> String {
 pub fn render_stream_responses(responses: &[Response]) -> String {
     let mut out = String::new();
     for r in responses {
-        let line = match &r.session {
-            None => serde_json::to_string(&ResponseRecord::from(r)),
-            Some(meta) => serde_json::to_string(&SessionRecord {
-                version: WIRE_V2,
-                index: r.index,
-                session: meta.session.clone(),
-                path: meta.path.clone(),
-                shard: r.shard,
-                outcome: (*r.outcome).clone(),
-            }),
-        };
-        out.push_str(&line.expect("response records always serialize"));
-        out.push('\n');
+        match &r.session {
+            None => push_response_head(&mut out, r),
+            Some(meta) => push_session_head(&mut out, r, meta),
+        }
+        push_outcome(&mut out, &r.outcome);
     }
     out
+}
+
+/// Writes a [`ResponseRecord`] line up to its `outcome` value.
+fn push_response_head(out: &mut String, r: &Response) {
+    write!(
+        out,
+        "{{\"index\":{},\"canonical_hash\":\"{:016x}\",\"shard\":{},\"memo_hit\":{},\"outcome\":",
+        r.index, r.canonical_hash, r.shard, r.memo_hit
+    )
+    .expect("writing to a String cannot fail");
+}
+
+/// Writes a [`SessionRecord`] line up to its `outcome` value. The free-text
+/// fields go through `serde_json`, so their escaping is the record's.
+fn push_session_head(out: &mut String, r: &Response, meta: &SessionMeta) {
+    let json = |s: &String| serde_json::to_string(s).expect("strings always serialize");
+    write!(
+        out,
+        "{{\"version\":{WIRE_V2},\"index\":{},\"session\":{},\"path\":{},\"shard\":{},\"outcome\":",
+        r.index,
+        json(&meta.session),
+        json(&meta.path),
+        r.shard
+    )
+    .expect("writing to a String cannot fail");
+}
+
+/// Serializes the outcome by reference and closes the record line.
+fn push_outcome(out: &mut String, outcome: &AnalysisOutcome) {
+    out.push_str(&serde_json::to_string(outcome).expect("outcomes always serialize"));
+    out.push_str("}\n");
 }
 
 #[cfg(test)]
@@ -172,6 +312,143 @@ mod tests {
     use crate::request::Verdict;
     use crate::{Service, ServiceConfig, SessionOp};
     use rmts_core::AlgorithmSpec;
+
+    /// What `parse_line` answered before the compact decoder: the value
+    /// tree on the same trimmed bytes.
+    fn tree_reference(line: &str) -> Result<Option<Request>, String> {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            return Ok(None);
+        }
+        parse_tree(line).map(Some)
+    }
+
+    #[test]
+    fn compact_decoder_answers_like_the_value_tree() {
+        let lines = rmts_verify::compact_v1_lines(0x5eed, 5_000);
+        let mut fast = 0;
+        for line in &lines {
+            // Every unmutated line but those naming a policy is the exact
+            // compact shape, so it must not fall back.
+            if line.contains(r#""policy":null"#) {
+                assert!(
+                    decode_compact_v1(line).is_some(),
+                    "compact line fell back: {line}"
+                );
+                fast += 1;
+            }
+            assert_eq!(parse_line(line), tree_reference(line), "{line}");
+        }
+        assert!(fast > 4_000, "only {fast} lines took the fast path");
+        let mut checked = lines.len();
+        for seed in 1..=3 {
+            for line in rmts_verify::mutated_lines(&lines, seed) {
+                assert_eq!(parse_line(&line), tree_reference(&line), "{line}");
+                checked += 1;
+            }
+        }
+        assert!(checked >= 20_000);
+
+        // The boundaries, spelled out.
+        let base = r#"{"taskset":[[1,4]],"m":2,"algorithm":"light","policy":null,"budget":{"deadline_ms":null,"max_iterations":null,"max_probes":7,"horizon_cap":null},"degrade":false}"#;
+        for (from, to, fast) in [
+            ("[[1,4]]", "[]", true),
+            ("[1,4]", "[18446744073709551615,18446744073709551615]", true),
+            ("[1,4]", "[18446744073709551616,4]", false),
+            ("[1,4]", "[01,4]", true),
+            ("[1,4]", "[-0,4]", false),
+            ("[1,4]", "[1.0,4]", false),
+            ("\"m\":2", "\"m\":18446744073709551615", true),
+            ("\"light\"", "\"RmTsLight\"", true),
+            ("\"light\"", "\"l\\u0069ght\"", false),
+            ("\"light\"", "\"prm:zf-chen:dp\"", false),
+            (":7,", ":null,", true),
+            ("false}", "true}", true),
+            ("false}", "false} ", true),
+            ("false}", "false}}", false),
+        ] {
+            let line = base.replacen(from, to, 1);
+            assert_eq!(decode_compact_v1(line.trim()).is_some(), fast, "{line}");
+            assert_eq!(parse_line(&line), tree_reference(&line), "{line}");
+        }
+    }
+
+    #[test]
+    fn rendering_matches_the_record_serialization() {
+        use crate::request::SessionMeta;
+        use rmts_core::{Exactness, PartitionPhase};
+        use rmts_taskmodel::{AnalysisError, BudgetResource};
+        use std::sync::Arc;
+        let outcomes = [
+            Verdict::Accepted {
+                processors_used: 3,
+                splits: vec![0, 4],
+                exactness: Exactness::Degraded {
+                    reason: AnalysisError::BudgetExhausted {
+                        resource: BudgetResource::Probes,
+                    },
+                },
+            },
+            Verdict::Rejected {
+                phase: PartitionPhase::AssignNormal,
+                task: Some(2),
+                unassigned: vec![2, 3],
+                analysis: Some(AnalysisError::BudgetExhausted {
+                    resource: BudgetResource::Iterations,
+                }),
+                reason: "does not fit".into(),
+            },
+            Verdict::Invalid {
+                reason: "task 1: \"wcet\" exceeds period\nsee \\docs\t\u{1}".into(),
+            },
+        ]
+        .map(|verdict| {
+            Arc::new(AnalysisOutcome {
+                algorithm: "RM-TS/light".into(),
+                m: 4,
+                verdict,
+            })
+        });
+        for (k, outcome) in outcomes.iter().enumerate() {
+            let mut r = Response {
+                index: 7 + k,
+                canonical_hash: 0x00ab_cdef_0123_4567 << k,
+                shard: k,
+                memo_hit: k % 2 == 0,
+                session: None,
+                outcome: outcome.clone(),
+            };
+            let v1 = serde_json::to_string(&ResponseRecord {
+                index: r.index,
+                canonical_hash: format!("{:016x}", r.canonical_hash),
+                shard: r.shard,
+                memo_hit: r.memo_hit,
+                outcome: (**outcome).clone(),
+            })
+            .unwrap()
+                + "\n";
+            assert_eq!(render_responses(std::slice::from_ref(&r)), v1);
+            assert_eq!(render_stream_responses(std::slice::from_ref(&r)), v1);
+
+            r.session = Some(SessionMeta {
+                session: "s\"q\"\n\u{7f}é".into(),
+                path: "incremental".into(),
+            });
+            let v2 = serde_json::to_string(&SessionRecord {
+                version: WIRE_V2,
+                index: r.index,
+                session: "s\"q\"\n\u{7f}é".into(),
+                path: "incremental".into(),
+                shard: r.shard,
+                outcome: (**outcome).clone(),
+            })
+            .unwrap()
+                + "\n";
+            assert_eq!(render_stream_responses(std::slice::from_ref(&r)), v2);
+            // serve-batch's renderer writes every answer as a v1 record.
+            assert_eq!(render_responses(std::slice::from_ref(&r)), v1);
+        }
+    }
 
     #[test]
     fn request_lines_round_trip_and_bad_lines_are_located() {

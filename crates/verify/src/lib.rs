@@ -28,6 +28,9 @@
 //! * [`sut`] — named, serializable partitioner configurations, including
 //!   the deliberately unsound [`SystemUnderTest::WeakenedAdmission`]
 //!   fault-injection hook that proves the oracles catch real bugs.
+//! * [`wire_lines`] — seeded compact v1 request lines and one-mutation
+//!   damaged copies of them: the wire decoder's oracle input and the TCP
+//!   server's hostile traffic.
 //!
 //! ```
 //! use rmts_verify::{run_campaign, CampaignConfig};
@@ -49,6 +52,7 @@ pub mod oracle;
 pub mod repartition;
 pub mod shrink;
 pub mod sut;
+pub mod wire_lines;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignFault, CampaignReport, GeneratorKind};
 pub use corpus::{load_corpus, replay_corpus, save_corpus, Expectation, Reproducer, REPRO_SCHEMA};
@@ -61,3 +65,4 @@ pub use repartition::{
 };
 pub use shrink::{shrink, Shrunk, MAX_SHRINK_STEPS};
 pub use sut::SystemUnderTest;
+pub use wire_lines::{compact_v1_lines, mutated_lines};

@@ -37,6 +37,14 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some((cmd, rest)) = args.split_first() {
+        if let Some(flag) = unknown_flag(cmd, rest) {
+            eprintln!("error: unknown flag {flag} for {cmd}");
+            eprintln!();
+            eprintln!("{USAGE}");
+            return ExitCode::from(2);
+        }
+    }
     match run(&args) {
         Ok(code) => code,
         Err(e) => {
@@ -63,6 +71,8 @@ const USAGE: &str = "usage:
   rmts-cli serve     [--addr A] [--shards N] [--clients N] [--rate R] [--burst B]
                      [--max-line BYTES] [--idle-timeout SECS] [--snapshot PATH]
                      [--journal DIR] [--snapshot-interval SECS] [--snapshot-mutations M] [--stats]
+
+A flag the subcommand does not read is refused with exit code 2.
 
 partition's --alg takes an algorithm spec:
   rmts[:ll|hc|t|r]     RM-TS under a parametric bound (default hc)
@@ -130,6 +140,76 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         Some(other) => Err(format!("unknown command {other:?}")),
         None => Err("missing command".into()),
     }
+}
+
+/// The flags a subcommand reads: those taking a value, then bare ones.
+/// `repartition --fuzz` is a mode of its own with its own flags. `None`
+/// for anything that is not a subcommand.
+fn known_flags(
+    cmd: &str,
+    args: &[String],
+) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    Some(match cmd {
+        "bounds" => (&[], &[]),
+        "partition" => (
+            &["-m", "--alg", "--bound", "--deadline-ms"],
+            &["--degrade", "--simulate", "--gantt", "--stats"],
+        ),
+        "check" => (&["-m"], &[]),
+        "generate" => (&["-n", "-u", "--periods", "--seed", "--cap"], &[]),
+        "fuzz" => (
+            &[
+                "--seed",
+                "--trials",
+                "-n",
+                "-m",
+                "--panic-trial",
+                "--save-corpus",
+                "--replay",
+            ],
+            &["--quick", "--json", "--stats"],
+        ),
+        "serve-batch" => (&["--shards"], &["--stats"]),
+        "repartition" if has_flag(args, "--fuzz") => (
+            &["--seed", "--trials", "-n", "-m", "--deltas"],
+            &["--fuzz", "--quick", "--json"],
+        ),
+        "repartition" => (&["--shards"], &[]),
+        "serve" => (
+            &[
+                "--addr",
+                "--shards",
+                "--clients",
+                "--rate",
+                "--burst",
+                "--max-line",
+                "--idle-timeout",
+                "--snapshot",
+                "--journal",
+                "--snapshot-interval",
+                "--snapshot-mutations",
+            ],
+            &["--stats"],
+        ),
+        _ => return None,
+    })
+}
+
+/// The first `-`-prefixed argument of `cmd` that is neither a flag it
+/// reads nor the value of one. Unknown flags are refused rather than
+/// ignored, so a typo (`--shard 8`) or a retired flag does not silently
+/// run on defaults.
+fn unknown_flag<'a>(cmd: &str, args: &'a [String]) -> Option<&'a str> {
+    let (valued, bare) = known_flags(cmd, args)?;
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg) {
+            rest.next();
+        } else if arg.starts_with('-') && !bare.contains(&arg) {
+            return Some(arg);
+        }
+    }
+    None
 }
 
 fn load(path: &str) -> Result<TaskSet, String> {

@@ -364,6 +364,37 @@ fn serve_batch_locates_malformed_request_lines() {
 }
 
 #[test]
+fn unknown_flags_are_refused_with_exit_2() {
+    let input = temppath::TempPath::new("rmts_cli_flags.jsonl", "# empty batch\n");
+    // The retired `--queue`, a typo of `--shards`, and a flag another
+    // subcommand reads.
+    for (args, flag) in [
+        (&["--queue", "8"][..], "--queue"),
+        (&["--shard", "8"][..], "--shard"),
+        (&["--shards", "2", "--journal", "d"][..], "--journal"),
+    ] {
+        let out = cli()
+            .args(["serve-batch", input.as_str()])
+            .args(args)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {flag} for serve-batch")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "nothing served for {args:?}");
+    }
+    // A flag's value may itself start with `-`; it is not a flag.
+    let out = cli()
+        .args(["generate", "-n", "4", "-u", "-1"])
+        .output()
+        .unwrap();
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+}
+
+#[test]
 fn overloaded_set_reports_failure() {
     let ts = temppath::TempPath::new(
         "rmts_cli_overload.json",

@@ -250,3 +250,45 @@ fn rate_limited_lines_do_not_consume_response_ordinals() {
     assert_still_serving(&server);
     server.stop().unwrap();
 }
+
+#[test]
+fn generated_hostile_lines_each_get_one_typed_answer() {
+    use rmts::verify::{compact_v1_lines, mutated_lines};
+    let server = start_server(NetConfig::new().with_rate(1e9, 1e9));
+    let lines = compact_v1_lines(11, 800);
+    let mut sent = lines.clone();
+    for seed in 1..=2 {
+        sent.extend(mutated_lines(&lines, seed));
+    }
+    let payload: String = sent.iter().map(|l| format!("{l}\n")).collect();
+    let conn = TcpStream::connect(server.addr()).unwrap();
+    // Write from a second thread while this one reads, so neither side
+    // blocks on a full socket buffer.
+    let mut writer = conn.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        writer.write_all(payload.as_bytes()).unwrap();
+        writer.shutdown(Shutdown::Write).unwrap();
+    });
+    let (mut errors, mut answers) = (0, 0);
+    for line in BufReader::new(conn).lines() {
+        let line = line.unwrap();
+        if let Ok(rec) = serde_json::from_str::<ErrorRecord>(&line) {
+            assert_eq!(rec.error, "malformed", "{line}");
+            errors += 1;
+        } else {
+            let rec: wire::ResponseRecord = serde_json::from_str(&line)
+                .unwrap_or_else(|e| panic!("neither an error nor an answer: {line:?}: {e}"));
+            assert_eq!(rec.index, answers, "answers carry dense indices");
+            answers += 1;
+        }
+    }
+    sender.join().unwrap();
+    assert_eq!(errors + answers, sent.len(), "one response line per line");
+    assert!(
+        errors > 0 && answers > lines.len(),
+        "{errors} errors, {answers} answers"
+    );
+    assert_eq!(server.net_stats().malformed, errors as u64);
+    assert_still_serving(&server);
+    server.stop().unwrap();
+}
