@@ -17,7 +17,7 @@
 //!   failure is answered or cleanly dropped, never silently ignored.
 //! - [`limiter`]: a per-connection token bucket; throttled clients get a
 //!   typed `rate_limited` line, not a stalled socket.
-//! - [`shed`]: the load ladder — degrade v1 requests through the
+//! - `shed`: the load ladder — degrade v1 requests through the
 //!   existing `AnalysisBudget` fallback chain before refusing anything,
 //!   and refuse with a typed `overloaded` line past the in-flight bound.
 //! - [`server`]: one acceptor, a bounded connection pool, one thread and
@@ -40,9 +40,8 @@
 pub mod framing;
 pub mod limiter;
 pub mod server;
-pub mod shed;
+mod shed;
 
 pub use framing::{ErrorKind, ErrorRecord, LineEvent, LineReader};
 pub use limiter::TokenBucket;
 pub use server::{NetConfig, NetStats, NetStatsSnapshot, Server};
-pub use shed::{Admission, PressureGauge, ShedPolicy};

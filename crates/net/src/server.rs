@@ -29,9 +29,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// In-flight slots per shard behind the default shed ladder: it degrades
-/// at half of `shards × IN_FLIGHT_PER_SHARD` requests in flight and
-/// refuses at all of them.
+/// In-flight slots per shard behind the shed ladder: it degrades at half
+/// of `shards × IN_FLIGHT_PER_SHARD` requests in flight and refuses at all
+/// of them. A connection has at most one request in flight, so the
+/// in-flight count never exceeds the live connections: the real in-flight
+/// bound is the connection pool (`max_clients`).
 const IN_FLIGHT_PER_SHARD: usize = 64;
 
 /// Everything a [`Server`] needs to know. Chain `with_*` — the same
@@ -55,12 +57,6 @@ pub struct NetConfig {
     pub read_timeout: Option<Duration>,
     /// Sizing of the backing analysis service.
     pub service: ServiceConfig,
-    /// Load-shed ladder; `None` derives one with
-    /// [`ShedPolicy::for_capacity`] from 64 in-flight slots per shard. A
-    /// connection has at most one request in flight, so the in-flight
-    /// count never exceeds the live connections: the real in-flight bound
-    /// is the connection pool (`max_clients`).
-    pub shed: Option<ShedPolicy>,
     /// Memo snapshot path: restored on start (missing/stale/corrupt
     /// degrades to a cold start), written atomically on [`Server::stop`].
     pub snapshot: Option<PathBuf>,
@@ -83,7 +79,6 @@ impl Default for NetConfig {
             max_line_len: 1 << 20,
             read_timeout: None,
             service: ServiceConfig::default(),
-            shed: None,
             snapshot: None,
             durability: None,
         }
@@ -132,12 +127,6 @@ impl NetConfig {
     /// Sets the backing service's sizing.
     pub fn with_service(mut self, service: ServiceConfig) -> Self {
         self.service = service;
-        self
-    }
-
-    /// Overrides the derived shed ladder.
-    pub fn with_shed(mut self, shed: ShedPolicy) -> Self {
-        self.shed = Some(shed);
         self
     }
 
@@ -267,10 +256,10 @@ impl Server {
             (None, None) => (Service::new(cfg.service), RecordReport::default(), None),
         };
         let svc = Arc::new(svc);
-        let shed = cfg
-            .shed
-            .unwrap_or_else(|| ShedPolicy::for_capacity(cfg.service.shards, IN_FLIGHT_PER_SHARD));
-        let gauge = Arc::new(PressureGauge::new(shed));
+        let gauge = Arc::new(PressureGauge::new(ShedPolicy::for_capacity(
+            cfg.service.shards,
+            IN_FLIGHT_PER_SHARD,
+        )));
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let stats = Arc::new(NetStats::default());

@@ -27,24 +27,24 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Where the shed ladder's rungs sit, in in-flight requests.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShedPolicy {
+pub(crate) struct ShedPolicy {
     /// In-flight count at which v1 requests are degraded (rung 2).
-    pub degrade_at: usize,
+    pub(crate) degrade_at: usize,
     /// In-flight count at which requests are refused with a typed
     /// `overloaded` line (rung 3). At most this many requests are ever
     /// inside the service on the front end's behalf.
-    pub overload_at: usize,
+    pub(crate) overload_at: usize,
     /// The budget substituted when degrading (`degrade: true` is set
     /// alongside). Bounded iteration/probe caps — deterministic, so
     /// degraded answers stay memoizable.
-    pub degrade_budget: BudgetSpec,
+    pub(crate) degrade_budget: BudgetSpec,
 }
 
 impl ShedPolicy {
     /// Derives the ladder from an in-flight budget of `slots_per_shard`
     /// requests per shard: `shards × slots_per_shard` slots degrade at
     /// half occupancy and refuse at full occupancy.
-    pub fn for_capacity(shards: usize, slots_per_shard: usize) -> Self {
+    pub(crate) fn for_capacity(shards: usize, slots_per_shard: usize) -> Self {
         let capacity = (shards.max(1) * slots_per_shard.max(1)).max(2);
         ShedPolicy {
             degrade_at: (capacity / 2).max(1),
@@ -61,7 +61,7 @@ impl ShedPolicy {
 
 /// The admission decision for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
+pub(crate) enum Admission {
     /// Serve untouched.
     Pass,
     /// Serve with the degraded budget ladder.
@@ -72,14 +72,14 @@ pub enum Admission {
 
 /// Shared in-flight accounting plus the policy that interprets it.
 #[derive(Debug)]
-pub struct PressureGauge {
+pub(crate) struct PressureGauge {
     in_flight: AtomicUsize,
     policy: ShedPolicy,
 }
 
 impl PressureGauge {
     /// A gauge at zero pressure.
-    pub fn new(policy: ShedPolicy) -> Self {
+    pub(crate) fn new(policy: ShedPolicy) -> Self {
         PressureGauge {
             in_flight: AtomicUsize::new(0),
             policy,
@@ -88,7 +88,7 @@ impl PressureGauge {
 
     /// Decides admission for one request and, unless refusing, claims an
     /// in-flight slot (release with [`PressureGauge::finish`]).
-    pub fn admit(&self) -> Admission {
+    pub(crate) fn admit(&self) -> Admission {
         // Claim optimistically, then inspect the pre-claim value: the
         // claim itself serializes concurrent admitters, so `overload_at`
         // is a hard bound on concurrently admitted requests.
@@ -104,17 +104,17 @@ impl PressureGauge {
     }
 
     /// Releases the slot claimed by a non-`Overload` admission.
-    pub fn finish(&self) {
+    pub(crate) fn finish(&self) {
         self.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
 
     /// Requests currently in flight.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.in_flight.load(Ordering::Acquire)
     }
 
     /// The policy in force.
-    pub fn policy(&self) -> &ShedPolicy {
+    pub(crate) fn policy(&self) -> &ShedPolicy {
         &self.policy
     }
 }

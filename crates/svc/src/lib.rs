@@ -39,9 +39,8 @@
 //!    memoizes the outcome. Since only a lock holder inserts and it
 //!    re-checks first, every distinct question is analysed once, and
 //!    hit/miss labels depend on the request stream, not on thread
-//!    timing. Batches ([`Service::run_stream`],
-//!    [`Service::analyze_batch`]) group their requests by shard and serve
-//!    each group on one scoped worker thread.
+//!    timing. A batch ([`Service::run_stream`]) groups its requests by
+//!    shard and serves each group on one scoped worker thread.
 //!
 //! State outlives the process in two [`record`] files, one on-disk format
 //! with one trust policy: the memo snapshot ([`snapshot`]) and the
@@ -56,19 +55,19 @@
 //!
 //! ```
 //! use rmts_core::AlgorithmSpec;
-//! use rmts_svc::{AnalyzeRequest, Service, ServiceConfig, Verdict};
+//! use rmts_svc::{AnalyzeRequest, Request, Service, ServiceConfig, Verdict};
 //!
 //! let svc = Service::new(ServiceConfig::default());
-//! let reqs: Vec<AnalyzeRequest> = (0..64)
+//! let reqs: Vec<Request> = (0..64)
 //!     .map(|_| {
-//!         AnalyzeRequest::new(
+//!         Request::Analyze(AnalyzeRequest::new(
 //!             vec![(1, 4), (2, 8), (2, 8), (4, 16)],
 //!             2,
 //!             AlgorithmSpec::RmTsLight,
-//!         )
+//!         ))
 //!     })
 //!     .collect();
-//! let responses = svc.analyze_batch(reqs);
+//! let responses = svc.run_stream(reqs);
 //! assert!(responses
 //!     .iter()
 //!     .all(|r| matches!(r.outcome.verdict, Verdict::Accepted { .. })));
@@ -101,7 +100,4 @@ pub use request::{
 pub use rmts_core::{AlgorithmSpec, BoundSpec};
 pub use service::{Service, ServiceConfig, ServiceStats, Ticket};
 pub use snapshot::{engine_fingerprint, read_snapshot, write_snapshot, MemoEntry, SnapshotReport};
-pub use wire::{
-    parse_line, parse_requests, parse_stream, render_responses, render_stream_responses,
-    ResponseRecord, SessionRecord,
-};
+pub use wire::{parse_line, parse_stream, render_stream_responses, ResponseRecord, SessionRecord};

@@ -59,8 +59,8 @@ impl ServiceConfig {
 
 /// Counters shared by every thread that serves a job (plain atomics: the
 /// `obs` recorders are thread-local, and batch workers cannot see the
-/// caller's recording — [`Service::analyze_batch`] mirrors these into
-/// `obs` instead).
+/// caller's recording — [`Service::run_stream`] mirrors these into `obs`
+/// instead).
 pub(crate) struct SharedStats {
     pub submitted: AtomicU64,
     pub completed: AtomicU64,
@@ -73,7 +73,7 @@ pub(crate) struct SharedStats {
 /// A point-in-time statistics snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Requests accepted by `submit`/`analyze_batch`.
+    /// Requests accepted by `submit*`/`run_stream`.
     pub submitted: u64,
     /// Requests answered.
     pub completed: u64,
@@ -324,20 +324,14 @@ impl Service {
         }
     }
 
-    /// Submits one session operation (v2) and serves it on the calling
+    /// Submits one session operation (v2) with a caller-chosen response
+    /// index (see [`Service::submit_indexed`]) and serves it on the calling
     /// thread, under its shard's lock. Ops for the same session name
     /// always land on the same shard and are served in submission order.
     ///
     /// # Panics
     ///
     /// After [`Service::shutdown`].
-    pub fn submit_repartition(&self, req: RepartitionRequest) -> Ticket {
-        let index = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.submit_repartition_indexed(index, req)
-    }
-
-    /// [`Service::submit_repartition`] with a caller-chosen response
-    /// index (see [`Service::submit_indexed`]).
     pub fn submit_repartition_indexed(&self, index: usize, req: RepartitionRequest) -> Ticket {
         Ticket {
             resp: self.submit_session(self.session_job(index, req, true)),
@@ -349,7 +343,14 @@ impl Service {
     /// group is served by one scoped worker, so same-session ops run in
     /// order — a JSONL session script behaves exactly like sequential
     /// submission — while unrelated requests fan out across the fleet.
+    ///
+    /// When an `obs` recording is live on the calling thread, the stream
+    /// emits `svc.*` counters and histograms: requests, memo hits and
+    /// misses, panics, per-shard busy time and wall latency. The workers
+    /// cannot see that recording, so these come from the shared counters.
     pub fn run_stream(&self, reqs: Vec<Request>) -> Vec<Response> {
+        let before = rmts_obs::enabled().then(|| (Instant::now(), self.stats()));
+        let n = reqs.len();
         let mut groups: Vec<Vec<Routed>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         for (index, req) in reqs.into_iter().enumerate() {
             let (hash, job) = match req {
@@ -386,21 +387,7 @@ impl Service {
                 .collect()
         });
         responses.sort_unstable_by_key(|r| r.index);
-        responses
-    }
-
-    /// Analyzes a whole batch, returning responses in request order —
-    /// [`Service::run_stream`] over v1 requests.
-    ///
-    /// When an `obs` recording is active on the calling thread, the batch
-    /// emits `svc.*` counters/histograms (requests, memo hits/misses,
-    /// panics, per-shard busy time, wall latency).
-    pub fn analyze_batch(&self, reqs: Vec<AnalyzeRequest>) -> Vec<Response> {
-        let t0 = Instant::now();
-        let before = self.stats();
-        let n = reqs.len();
-        let responses = self.run_stream(reqs.into_iter().map(Request::Analyze).collect());
-        if rmts_obs::enabled() {
+        if let Some((t0, before)) = before {
             let after = self.stats();
             rmts_obs::count("svc.batch.requests", n as u64);
             rmts_obs::count("svc.memo.hits", after.memo_hits - before.memo_hits);

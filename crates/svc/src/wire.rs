@@ -200,7 +200,8 @@ impl Scan<'_> {
         rest.starts_with(lit).then(|| self.pos += lit.len())
     }
 
-    /// A non-empty digit run as a `u64`; `None` on overflow.
+    /// A non-empty digit run as a `u64`; `None` on overflow or on a
+    /// leading zero followed by more digits, which JSON forbids.
     fn uint(&mut self) -> Option<u64> {
         let start = self.pos;
         let mut n: u64 = 0;
@@ -208,7 +209,10 @@ impl Scan<'_> {
             n = n.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
             self.pos += 1;
         }
-        (self.pos > start).then_some(n)
+        match self.bytes[start..self.pos] {
+            [] | [b'0', _, ..] => None,
+            _ => Some(n),
+        }
     }
 
     /// `null` or a digit run.
@@ -232,32 +236,6 @@ pub fn parse_stream(input: &str) -> Result<Vec<Request>, String> {
         }
     }
     Ok(reqs)
-}
-
-/// Parses a v1-only JSONL request stream (the `serve-batch` input format).
-/// v2 lines are rejected with a pointer at the `repartition` subcommand.
-pub fn parse_requests(input: &str) -> Result<Vec<AnalyzeRequest>, String> {
-    parse_stream(input)?
-        .into_iter()
-        .map(|req| match req {
-            Request::Analyze(r) => Ok(r),
-            Request::Repartition(r) => Err(format!(
-                "session request for `{}` in a serve-batch stream (use the `repartition` subcommand)",
-                r.session
-            )),
-        })
-        .collect()
-}
-
-/// Renders responses as JSONL, one [`ResponseRecord`] per line, in the
-/// given order.
-pub fn render_responses(responses: &[Response]) -> String {
-    let mut out = String::new();
-    for r in responses {
-        push_response_head(&mut out, r);
-        push_outcome(&mut out, &r.outcome);
-    }
-    out
 }
 
 /// Renders a mixed-version response stream: v1 answers as
@@ -355,12 +333,16 @@ mod tests {
             ("[[1,4]]", "[]", true),
             ("[1,4]", "[18446744073709551615,18446744073709551615]", true),
             ("[1,4]", "[18446744073709551616,4]", false),
-            ("[1,4]", "[01,4]", true),
+            ("[1,4]", "[01,4]", false),
+            ("[1,4]", "[-01,4]", false),
             ("[1,4]", "[-0,4]", false),
             ("[1,4]", "[1.0,4]", false),
+            ("[1,4]", "[1.,4]", false),
+            ("[1,4]", "[-.5,4]", false),
             ("\"m\":2", "\"m\":18446744073709551615", true),
             ("\"light\"", "\"RmTsLight\"", true),
             ("\"light\"", "\"l\\u0069ght\"", false),
+            ("\"light\"", "\"li\tght\"", false),
             ("\"light\"", "\"prm:zf-chen:dp\"", false),
             (":7,", ":null,", true),
             ("false}", "true}", true),
@@ -371,6 +353,9 @@ mod tests {
             assert_eq!(decode_compact_v1(line.trim()).is_some(), fast, "{line}");
             assert_eq!(parse_line(&line), tree_reference(&line), "{line}");
         }
+        // JSON forbids a leading zero, so neither path reads `01` as 1.
+        let err = parse_line(&base.replacen("[1,4]", "[01,4]", 1)).unwrap_err();
+        assert!(err.contains("bad number"), "{err}");
     }
 
     #[test]
@@ -427,7 +412,6 @@ mod tests {
             })
             .unwrap()
                 + "\n";
-            assert_eq!(render_responses(std::slice::from_ref(&r)), v1);
             assert_eq!(render_stream_responses(std::slice::from_ref(&r)), v1);
 
             r.session = Some(SessionMeta {
@@ -445,8 +429,6 @@ mod tests {
             .unwrap()
                 + "\n";
             assert_eq!(render_stream_responses(std::slice::from_ref(&r)), v2);
-            // serve-batch's renderer writes every answer as a v1 record.
-            assert_eq!(render_responses(std::slice::from_ref(&r)), v1);
         }
     }
 
@@ -455,10 +437,13 @@ mod tests {
         let req = AnalyzeRequest::new(vec![(1, 4), (2, 8)], 2, AlgorithmSpec::RmTsLight);
         let line = serde_json::to_string(&req).unwrap();
         let input = format!("# comment\n\n{line}\n{line}\n");
-        let parsed = parse_requests(&input).unwrap();
-        assert_eq!(parsed, vec![req.clone(), req]);
+        let parsed = parse_stream(&input).unwrap();
+        assert_eq!(
+            parsed,
+            vec![Request::Analyze(req.clone()), Request::Analyze(req)]
+        );
 
-        let err = parse_requests("# ok\nnot json\n").unwrap_err();
+        let err = parse_stream("# ok\nnot json\n").unwrap_err();
         assert!(err.starts_with("request line 2:"), "{err}");
     }
 
@@ -468,9 +453,11 @@ mod tests {
         // A hand-written v1 line naming the algorithm by its grammar
         // string — the form sweep artifacts and humans write.
         let line = r#"{"taskset":[[1,4],[2,8]],"m":2,"algorithm":"prm:bf-chen:dp","policy":null,"budget":{"deadline_ms":null,"max_iterations":null,"max_probes":null,"horizon_cap":null},"degrade":false}"#;
-        let parsed = parse_requests(line).unwrap();
+        let Request::Analyze(parsed) = &parse_stream(line).unwrap()[0] else {
+            panic!("expected a v1 line");
+        };
         assert_eq!(
-            parsed[0].algorithm,
+            parsed.algorithm,
             AlgorithmSpec::PartitionedRm {
                 fit: Fit::Best,
                 admission: UniAdmission::Chen,
@@ -501,14 +488,14 @@ mod tests {
         ] {
             let line = line.replace(r#""prm:bf-chen:dp""#, legacy);
             assert!(
-                parse_requests(&line).is_ok(),
+                parse_stream(&line).is_ok(),
                 "legacy algorithm form {legacy} stopped parsing"
             );
         }
 
         // A bad grammar string is refused with the offending token named.
         let bad = line.replace("prm:bf-chen:dp", "prm:zf-chen:dp");
-        let err = parse_requests(&bad).unwrap_err();
+        let err = parse_stream(&bad).unwrap_err();
         assert!(err.contains("zf"), "{err}");
     }
 
@@ -531,10 +518,7 @@ mod tests {
         let parsed = parse_stream(&input).unwrap();
         assert_eq!(
             parsed,
-            vec![
-                Request::Repartition(open.clone()),
-                Request::Repartition(delta)
-            ]
+            vec![Request::Repartition(open), Request::Repartition(delta)]
         );
 
         // An explicit `"version": 1` still selects the classic line.
@@ -551,11 +535,6 @@ mod tests {
         let err = parse_stream(&format!("{good}\n{{\"version\":3}}\n")).unwrap_err();
         assert!(err.contains("line 2"), "{err}");
         assert!(err.contains("unsupported protocol version 3"), "{err}");
-
-        // serve-batch's v1-only parser refuses session lines by name.
-        let err = parse_requests(&serde_json::to_string(&open).unwrap()).unwrap_err();
-        assert!(err.contains("sess-a"), "{err}");
-        assert!(err.contains("repartition"), "{err}");
     }
 
     #[test]
@@ -685,7 +664,7 @@ mod tests {
             2,
             AlgorithmSpec::RmTsLight,
         );
-        let fresh = svc.analyze_batch(vec![post]);
+        let fresh = svc.run_stream(vec![Request::Analyze(post)]);
         assert_eq!(*session_verdict, fresh[0].outcome.verdict);
     }
 
@@ -721,12 +700,9 @@ mod tests {
     #[test]
     fn responses_render_one_record_per_line_in_order() {
         let svc = Service::new(ServiceConfig::new().with_shards(2));
-        let reqs = vec![
-            AnalyzeRequest::new(vec![(1, 4), (2, 8)], 2, AlgorithmSpec::RmTsLight),
-            AnalyzeRequest::new(vec![(1, 4), (2, 8)], 2, AlgorithmSpec::RmTsLight),
-        ];
-        let responses = svc.analyze_batch(reqs);
-        let jsonl = render_responses(&responses);
+        let req = AnalyzeRequest::new(vec![(1, 4), (2, 8)], 2, AlgorithmSpec::RmTsLight);
+        let responses = svc.run_stream(vec![Request::Analyze(req.clone()), Request::Analyze(req)]);
+        let jsonl = render_stream_responses(&responses);
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
         for (i, line) in lines.iter().enumerate() {

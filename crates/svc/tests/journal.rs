@@ -10,6 +10,7 @@
 
 use proptest::prelude::*;
 use rmts_core::AlgorithmSpec;
+use rmts_gen::{trial_rng, GenConfig, PeriodGen, UtilizationSpec};
 use rmts_svc::journal::{journal_bytes, read_journal_bytes};
 use rmts_svc::{
     engine_fingerprint, read_journal, AnalyzeRequest, DurabilityConfig, JournalOp,
@@ -76,6 +77,49 @@ fn scripted_ops() -> Vec<Request> {
     ]
 }
 
+/// A loaded fleet's stream: 16 sessions opened on generated sets of 16–23
+/// tasks, then 8 rounds of a committed WCET change to each, with a v1
+/// analysis of another generated set after every round.
+fn loaded_ops() -> Vec<Request> {
+    let set = |trial: u64| {
+        let pairs = GenConfig::new(16 + (trial % 8) as usize, 0.55 * 4.0)
+            .with_periods(PeriodGen::LogUniform {
+                min: 10_000,
+                max: 1_000_000,
+                granularity: 10_000,
+            })
+            .with_utilization(UtilizationSpec::capped(0.5))
+            .generate(&mut trial_rng(0x5EC0, trial))
+            .expect("generator")
+            .tasks()
+            .iter()
+            .map(|t| (t.wcet.ticks(), t.period.ticks()))
+            .collect();
+        AnalyzeRequest::new(pairs, 4, AlgorithmSpec::RmTsLight)
+    };
+    let bases: Vec<AnalyzeRequest> = (0..16).map(set).collect();
+    let mut ops: Vec<Request> = bases
+        .iter()
+        .enumerate()
+        .map(|(i, base)| {
+            Request::Repartition(RepartitionRequest::open(format!("s{i:02}"), base.clone()))
+        })
+        .collect();
+    for round in 0..8u64 {
+        for (i, base) in bases.iter().enumerate() {
+            // Task 0's WCET goes up by one tick and back, a change each time.
+            let (wcet, period) = base.taskset[0];
+            let task = Task::from_ticks(0, wcet + (1 - round % 2), period).unwrap();
+            ops.push(Request::Repartition(RepartitionRequest::delta(
+                format!("s{i:02}"),
+                TaskSetDelta::update(task),
+            )));
+        }
+        ops.push(Request::Analyze(set(0x1000 + round)));
+    }
+    ops
+}
+
 fn assert_all_served(responses: &[Response]) {
     for r in responses {
         assert!(
@@ -130,9 +174,14 @@ fn acknowledged_ops_are_in_the_journal() {
 /// checkpointing after `checkpoint_after` ops, then simulates a crash
 /// (drop without shutdown: no final checkpoint is written — exactly what
 /// SIGKILL leaves behind, since appends are already in the file).
-fn run_and_crash(dir: &TempDir, reqs: Vec<Request>, checkpoint_after: Option<usize>) {
+fn run_and_crash(
+    dir: &TempDir,
+    shards: usize,
+    reqs: Vec<Request>,
+    checkpoint_after: Option<usize>,
+) {
     let (svc, _) =
-        Service::with_durability(ServiceConfig::new().with_shards(2), quiet(dir)).unwrap();
+        Service::with_durability(ServiceConfig::new().with_shards(shards), quiet(dir)).unwrap();
     match checkpoint_after {
         Some(k) => {
             let mut reqs = reqs;
@@ -147,9 +196,9 @@ fn run_and_crash(dir: &TempDir, reqs: Vec<Request>, checkpoint_after: Option<usi
 }
 
 /// The fleet digest of a freshly recovered (or control) service.
-fn digest_of(dir: &TempDir) -> (u64, rmts_svc::RecoveryReport) {
+fn digest_of(dir: &TempDir, shards: usize) -> (u64, rmts_svc::RecoveryReport) {
     let (svc, rec) =
-        Service::with_durability(ServiceConfig::new().with_shards(3), quiet(dir)).unwrap();
+        Service::with_durability(ServiceConfig::new().with_shards(shards), quiet(dir)).unwrap();
     let report = svc
         .checkpoint()
         .unwrap()
@@ -172,8 +221,8 @@ fn recovery_rebuilds_sessions_bit_identically() {
 
     // Crash with no checkpoint: every session lives only in the journal.
     let crash_dir = TempDir::new("crash_cold");
-    run_and_crash(&crash_dir, scripted_ops(), None);
-    let (digest, rec) = digest_of(&crash_dir);
+    run_and_crash(&crash_dir, 2, scripted_ops(), None);
+    let (digest, rec) = digest_of(&crash_dir, 3);
     assert_eq!(rec.sessions_recovered, 2, "{rec:?}");
     assert_eq!(rec.sessions_failed, 0, "{rec:?}");
     assert_eq!(
@@ -184,10 +233,29 @@ fn recovery_rebuilds_sessions_bit_identically() {
     // Crash after a mid-stream checkpoint: recovery = compacted prefix +
     // appended suffix. Same fleet, same digest.
     let crash_dir = TempDir::new("crash_warm");
-    run_and_crash(&crash_dir, scripted_ops(), Some(4));
-    let (digest, rec) = digest_of(&crash_dir);
+    run_and_crash(&crash_dir, 2, scripted_ops(), Some(4));
+    let (digest, rec) = digest_of(&crash_dir, 3);
     assert_eq!(rec.generation, 1, "{rec:?}");
     assert_eq!(rec.sessions_recovered, 2, "{rec:?}");
+    assert_eq!(digest, control_digest);
+
+    // A loaded fleet on 8 shards, v1 analyses mixed in, crashed with no
+    // checkpoint: every session comes back, bit-identical to a control.
+    let control_dir = TempDir::new("loaded_control");
+    let (control, _) =
+        Service::with_durability(ServiceConfig::new().with_shards(8), quiet(&control_dir)).unwrap();
+    assert_all_served(&control.run_stream(loaded_ops()));
+    let control_digest = control
+        .checkpoint()
+        .unwrap()
+        .expect("control checkpoints")
+        .sessions_digest;
+    let crash_dir = TempDir::new("loaded_crash");
+    run_and_crash(&crash_dir, 8, loaded_ops(), None);
+    let (digest, rec) = digest_of(&crash_dir, 8);
+    assert_eq!(rec.sessions_recovered, 16, "{rec:?}");
+    assert_eq!(rec.sessions_failed, 0, "{rec:?}");
+    assert!(!rec.journal.corrupt, "{rec:?}");
     assert_eq!(digest, control_digest);
 }
 
@@ -205,7 +273,7 @@ fn recovered_sessions_answer_the_next_delta_identically() {
     ))]);
 
     let crash_dir = TempDir::new("probe_crash");
-    run_and_crash(&crash_dir, scripted_ops(), None);
+    run_and_crash(&crash_dir, 2, scripted_ops(), None);
     let (svc, rec) =
         Service::with_durability(ServiceConfig::new().with_shards(2), quiet(&crash_dir)).unwrap();
     assert_eq!(rec.sessions_recovered, 2);
@@ -228,6 +296,7 @@ fn closed_sessions_do_not_resurrect() {
     let dir = TempDir::new("no_resurrection");
     run_and_crash(
         &dir,
+        2,
         vec![
             Request::Repartition(RepartitionRequest::open("alpha", base_request())),
             Request::Repartition(RepartitionRequest::close("alpha")),
@@ -295,7 +364,7 @@ fn recovery_replays_only_the_live_tail() {
     ))]);
 
     let dir = TempDir::new("live_tail");
-    run_and_crash(&dir, ops.clone(), None);
+    run_and_crash(&dir, 2, ops.clone(), None);
     let (journal, _) = read_journal(&dir.0.join("journal.g0.log"), &engine_fingerprint());
     assert_eq!(journal.len(), ops.len(), "every scripted op commits");
     let (svc, rec) =
@@ -323,28 +392,28 @@ fn recovery_replays_only_the_live_tail() {
 #[test]
 fn memo_survives_a_checkpoint_and_loss_is_bounded_by_the_interval() {
     let dir = TempDir::new("memo_bound");
-    let reqs: Vec<AnalyzeRequest> = (2..8)
+    let reqs: Vec<Request> = (2..8)
         .map(|k| {
-            AnalyzeRequest::new(
+            Request::Analyze(AnalyzeRequest::new(
                 vec![(1, 4), (2, 8), (k, 8 * k)],
                 2,
                 AlgorithmSpec::RmTsLight,
-            )
+            ))
         })
         .collect();
     {
         let (svc, _) =
             Service::with_durability(ServiceConfig::new().with_shards(2), quiet(&dir)).unwrap();
-        svc.analyze_batch(reqs.clone());
+        svc.run_stream(reqs.clone());
         assert_eq!(svc.stats().memo_misses, reqs.len() as u64);
         svc.checkpoint().unwrap().expect("checkpoint the memo");
         // Post-checkpoint work — this is the (at most) one interval of
         // memo the crash is allowed to lose.
-        svc.analyze_batch(vec![AnalyzeRequest::new(
+        svc.run_stream(vec![Request::Analyze(AnalyzeRequest::new(
             vec![(5, 11), (7, 13)],
             2,
             AlgorithmSpec::RmTsLight,
-        )]);
+        ))]);
         drop(svc); // crash
     }
     let (svc, rec) =
@@ -352,7 +421,7 @@ fn memo_survives_a_checkpoint_and_loss_is_bounded_by_the_interval() {
     assert_eq!(rec.generation, 1);
     assert_eq!(rec.memo.records, reqs.len(), "{rec:?}");
     // Everything analyzed before the checkpoint answers from the memo.
-    svc.analyze_batch(reqs.clone());
+    svc.run_stream(reqs.clone());
     assert_eq!(svc.stats().memo_hits, reqs.len() as u64);
     assert_eq!(svc.stats().memo_misses, 0);
 }
@@ -406,11 +475,11 @@ fn checkpoint_removes_temp_files_orphaned_by_a_kill() {
     let (svc, _) =
         Service::with_durability(ServiceConfig::new().with_shards(2), quiet(&dir)).unwrap();
     assert_all_served(&svc.run_stream(scripted_ops()));
-    svc.analyze_batch(vec![AnalyzeRequest::new(
+    svc.run_stream(vec![Request::Analyze(AnalyzeRequest::new(
         vec![(1, 4), (2, 8)],
         2,
         AlgorithmSpec::RmTsLight,
-    )]);
+    ))]);
     let report = svc.checkpoint().unwrap().expect("live fleet checkpoints");
     assert_eq!(report.generation, 1);
     for name in orphans {
@@ -570,9 +639,17 @@ fn shutdown_never_races_the_background_snapshot() {
         assert_all_served(&svc.run_stream(scripted_ops()));
         // Memo traffic too: sessions fill the journal, analyses fill the
         // memo — the final snapshot must carry the latter.
-        svc.analyze_batch(vec![
-            AnalyzeRequest::new(vec![(1, 4), (2, 8)], 2, AlgorithmSpec::RmTsLight),
-            AnalyzeRequest::new(vec![(1, 4), (3, 12)], 2, AlgorithmSpec::RmTsLight),
+        svc.run_stream(vec![
+            Request::Analyze(AnalyzeRequest::new(
+                vec![(1, 4), (2, 8)],
+                2,
+                AlgorithmSpec::RmTsLight,
+            )),
+            Request::Analyze(AnalyzeRequest::new(
+                vec![(1, 4), (3, 12)],
+                2,
+                AlgorithmSpec::RmTsLight,
+            )),
         ]);
         // Give the scheduler a chance to be mid-checkpoint when stop lands.
         std::thread::sleep(Duration::from_millis(1 + (round as u64 % 4)));

@@ -3,16 +3,42 @@
 //! concurrency, per-request budget isolation, and panic isolation.
 
 use rmts_core::{AlgorithmSpec, BoundSpec};
+use rmts_gen::{trial_rng, GenConfig, PeriodGen, UtilizationSpec};
 use rmts_svc::{
-    AnalysisOutcome, AnalyzeRequest, BudgetSpec, CanonicalSet, Service, ServiceConfig, Verdict,
+    AnalysisOutcome, AnalyzeRequest, BudgetSpec, CanonicalSet, Request, Response, Service,
+    ServiceConfig, Verdict,
 };
 use std::sync::Barrier;
+
+/// Serves v1 requests as one stream.
+fn analyze(svc: &Service, reqs: Vec<AnalyzeRequest>) -> Vec<Response> {
+    svc.run_stream(reqs.into_iter().map(Request::Analyze).collect())
+}
 
 fn light_pairs(seed: u64) -> Vec<(u64, u64)> {
     // A small deterministic family of valid task sets, keyed by seed.
     let base = [(1u64, 4u64), (2, 8), (2, 8), (4, 16)];
     base.iter()
         .map(|&(c, t)| (c, t + (seed % 3) * t)) // stretch periods per seed
+        .collect()
+}
+
+/// A deep set near the schedulability edge of four processors: 52–59
+/// tasks, log-uniform periods on a 10 ms grid, total utilization
+/// `load`·4 with no task above 0.6.
+fn near_edge_pairs(trial: u64, load: f64) -> Vec<(u64, u64)> {
+    GenConfig::new(52 + (trial % 8) as usize, load * 4.0)
+        .with_periods(PeriodGen::LogUniform {
+            min: 10_000,
+            max: 1_000_000,
+            granularity: 10_000,
+        })
+        .with_utilization(UtilizationSpec::capped(0.6))
+        .generate(&mut trial_rng(0x5C, trial))
+        .expect("generator")
+        .tasks()
+        .iter()
+        .map(|t| (t.wcet.ticks(), t.period.ticks()))
         .collect()
 }
 
@@ -45,6 +71,9 @@ fn fresh_outcome(req: &AnalyzeRequest) -> AnalysisOutcome {
 
 /// Duplicate-heavy batch: every memoized outcome must serialize to exactly
 /// the same bytes as a fresh, service-free analysis of the same request.
+/// The inputs are small light sets under four engines and deep sets near
+/// the schedulability edge under `light` and `rmts:hc`, so the answers
+/// include both accepted and rejected verdicts.
 #[test]
 fn memo_hits_are_bit_identical_to_fresh_analysis() {
     let svc = Service::new(ServiceConfig::new().with_shards(4));
@@ -60,6 +89,10 @@ fn memo_hits_are_bit_identical_to_fresh_analysis() {
             sort: rmts_core::baselines::SortOrder::DecreasingUtilization,
         },
     ];
+    // U/m from 0.87 to 0.97 crosses the edge: the last sets are rejected.
+    let deep: Vec<_> = (0..6)
+        .map(|k| near_edge_pairs(k, 0.87 + 0.02 * k as f64))
+        .collect();
     let mut reqs = Vec::new();
     for _round in 0..6 {
         for seed in 0..3u64 {
@@ -67,14 +100,23 @@ fn memo_hits_are_bit_identical_to_fresh_analysis() {
                 reqs.push(AnalyzeRequest::new(light_pairs(seed), 2, alg));
             }
         }
+        for pairs in &deep {
+            for alg in &algorithms[..2] {
+                reqs.push(AnalyzeRequest::new(pairs.clone(), 4, *alg));
+            }
+        }
     }
     let n = reqs.len();
-    let responses = svc.analyze_batch(reqs.clone());
+    let responses = analyze(&svc, reqs.clone());
     assert_eq!(responses.len(), n);
 
     let stats = svc.stats();
-    assert_eq!(stats.memo_misses, 12, "3 sets × 4 algorithms unique");
-    assert_eq!(stats.memo_hits as usize, n - 12);
+    let distinct = 3 * 4 + deep.len() * 2;
+    assert_eq!(
+        stats.memo_misses as usize, distinct,
+        "one miss per distinct question"
+    );
+    assert_eq!(stats.memo_hits as usize, n - distinct);
 
     for (req, resp) in reqs.iter().zip(&responses) {
         assert_eq!(
@@ -83,6 +125,9 @@ fn memo_hits_are_bit_identical_to_fresh_analysis() {
             "memoized outcome differs from fresh analysis for {req:?}"
         );
     }
+    let verdicts = |f: fn(&Verdict) -> bool| responses.iter().any(|r| f(&r.outcome.verdict));
+    assert!(verdicts(|v| matches!(v, Verdict::Accepted { .. })));
+    assert!(verdicts(|v| matches!(v, Verdict::Rejected { .. })));
 }
 
 /// K threads submit the same unseen set at once. Whichever submissions
@@ -170,7 +215,7 @@ fn canonicalization_dedups_disguised_duplicates() {
             AlgorithmSpec::RmTsLight,
         ),
     ];
-    let responses = svc.analyze_batch(reqs);
+    let responses = analyze(&svc, reqs);
     assert_eq!(svc.stats().memo_misses, 1);
     assert_eq!(svc.stats().memo_hits, 2);
     let first = serde_json::to_string(&*responses[0].outcome).unwrap();
@@ -195,7 +240,7 @@ fn per_request_budgets_are_isolated() {
         })
         .with_degrade(true);
     let normal = AnalyzeRequest::new(pairs, 2, AlgorithmSpec::RmTsLight);
-    let responses = svc.analyze_batch(vec![starved.clone(), normal.clone(), starved, normal]);
+    let responses = analyze(&svc, vec![starved.clone(), normal.clone(), starved, normal]);
     // Same canonical set, different engine fingerprints: 2 misses, 2 hits.
     assert_eq!(svc.stats().memo_misses, 2);
     assert_eq!(svc.stats().memo_hits, 2);
@@ -227,7 +272,7 @@ fn engine_panics_are_isolated_to_their_request() {
     let svc = Service::new(ServiceConfig::new().with_shards(1));
     let poisoned = AnalyzeRequest::new(vec![(1, 4), (2, 8)], 0, AlgorithmSpec::RmTsLight);
     let healthy = AnalyzeRequest::new(vec![(1, 4), (2, 8)], 2, AlgorithmSpec::RmTsLight);
-    let responses = svc.analyze_batch(vec![poisoned, healthy.clone(), healthy]);
+    let responses = analyze(&svc, vec![poisoned, healthy.clone(), healthy]);
     match &responses[0].outcome.verdict {
         Verdict::Invalid { reason } => {
             assert!(reason.contains("panic"), "unexpected reason: {reason}")
@@ -258,7 +303,7 @@ fn unrepresentable_options_are_answered_as_invalid() {
         },
     )
     .with_degrade(true);
-    let responses = svc.analyze_batch(vec![req]);
+    let responses = analyze(&svc, vec![req]);
     match &responses[0].outcome.verdict {
         Verdict::Invalid { reason } => assert!(reason.contains("prm"), "{reason}"),
         other => panic!("expected Invalid, got {other:?}"),

@@ -13,9 +13,15 @@ use rmts_svc::snapshot::{
     read_snapshot, read_snapshot_bytes, snapshot_bytes, write_snapshot, write_snapshot_as,
 };
 use rmts_svc::{
-    engine_fingerprint, AnalysisOutcome, AnalyzeRequest, MemoEntry, Service, ServiceConfig, Verdict,
+    engine_fingerprint, AnalysisOutcome, AnalyzeRequest, MemoEntry, Request, Response, Service,
+    ServiceConfig, Verdict,
 };
 use std::path::{Path, PathBuf};
+
+/// Serves v1 requests as one stream.
+fn analyze(svc: &Service, reqs: Vec<AnalyzeRequest>) -> Vec<Response> {
+    svc.run_stream(reqs.into_iter().map(Request::Analyze).collect())
+}
 
 /// A self-cleaning temp dir per test.
 struct TempDir(PathBuf);
@@ -66,11 +72,14 @@ fn demo_entries() -> Vec<MemoEntry> {
 /// analyzes fresh and answers correctly.
 fn assert_cold_but_working(path: &Path) -> rmts_svc::RecordReport {
     let (svc, report) = Service::with_restored(ServiceConfig::new().with_shards(2), path);
-    let responses = svc.analyze_batch(vec![AnalyzeRequest::new(
-        vec![(1, 4), (2, 8), (2, 8), (4, 16)],
-        2,
-        AlgorithmSpec::RmTsLight,
-    )]);
+    let responses = analyze(
+        &svc,
+        vec![AnalyzeRequest::new(
+            vec![(1, 4), (2, 8), (2, 8), (4, 16)],
+            2,
+            AlgorithmSpec::RmTsLight,
+        )],
+    );
     assert!(
         matches!(responses[0].outcome.verdict, Verdict::Accepted { .. }),
         "service must keep answering after snapshot damage"
@@ -294,7 +303,7 @@ fn no_accepted_request_is_lost_between_shutdown_and_snapshot() {
     // And the snapshot answers for all of them on the next life.
     let (svc, report) = Service::with_restored(ServiceConfig::new().with_shards(3), &path);
     assert_eq!(report.records, 24);
-    let responses = svc.analyze_batch(reqs);
+    let responses = analyze(&svc, reqs);
     assert!(
         responses.iter().all(|r| r.memo_hit),
         "warm start must hit for every request"
@@ -313,7 +322,7 @@ fn snapshot_bytes_are_deterministic_across_shard_counts() {
     for shards in [1, 2, 5] {
         let path = dir.file(&format!("memo_{shards}.snap"));
         let svc = Service::new(ServiceConfig::new().with_shards(shards));
-        svc.analyze_batch(reqs.clone());
+        analyze(&svc, reqs.clone());
         svc.shutdown_with_snapshot(&path).unwrap();
         images.push(std::fs::read(&path).unwrap());
     }
@@ -418,12 +427,12 @@ proptest! {
         let dir = TempDir::new(&format!("prop_hit_{seed}_{n}"));
         let path = dir.file("memo.snap");
         let first = Service::new(ServiceConfig::new().with_shards(2));
-        let fresh = first.analyze_batch(vec![req.clone()]);
+        let fresh = analyze(&first, vec![req.clone()]);
         first.shutdown_with_snapshot(&path).unwrap();
 
         let (second, report) = Service::with_restored(ServiceConfig::new().with_shards(2), &path);
         prop_assert_eq!(report.records, 1);
-        let warm = second.analyze_batch(vec![req]);
+        let warm = analyze(&second, vec![req]);
         prop_assert!(warm[0].memo_hit, "restored entry must answer the duplicate");
         prop_assert_eq!(&warm[0].outcome, &fresh[0].outcome);
         prop_assert_eq!(warm[0].canonical_hash, fresh[0].canonical_hash);

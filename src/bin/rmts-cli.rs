@@ -11,10 +11,10 @@
 //! rmts-cli fuzz      [--seed S] [--trials T] [--quick] [-n N] [-m M]
 //!                    [--panic-trial T] [--save-corpus DIR] [--json] [--stats]
 //! rmts-cli fuzz      --replay DIR                  # replay saved reproducers
-//! rmts-cli serve-batch [requests.jsonl] [--shards N] [--stats]
-//!                    # JSONL requests on stdin/file -> JSONL responses on stdout
-//! rmts-cli repartition [stream.jsonl] [--shards N]
-//!                    # versioned JSONL session stream (v1 analyze + v2 open/delta lines)
+//! rmts-cli serve-batch [stream.jsonl] [--shards N] [--stats]
+//!                    # versioned JSONL requests (v1 analyze + v2 session lines)
+//!                    # on stdin/file -> JSONL responses on stdout
+//! rmts-cli repartition [stream.jsonl] [--shards N]     # the same service
 //! rmts-cli repartition --fuzz [--seed S] [--trials T] [--quick] [-n N] [-m M]
 //!                    [--deltas K] [--json]   # delta-stream differential campaign
 //! rmts-cli serve     [--addr A] [--shards N] [--clients N] [--rate R]
@@ -94,19 +94,19 @@ fuzz runs a seeded differential campaign (exit code 2 on divergence or trial fau
   rmts-cli fuzz --trials 10000 --seed 1    # acceptance-scale sweep
   rmts-cli fuzz --replay tests/corpus      # replay shrunk reproducers
 
-serve-batch runs the sharded batch-analysis service over a JSONL request stream
-(one serialized AnalyzeRequest per line; blank lines and # comments skipped) read
-from the file argument or stdin. Responses are JSONL on stdout in request order;
-service statistics (memo hits and misses, isolated panics) go to stderr.
+serve-batch runs the sharded batch-analysis service over a *versioned* JSONL
+stream read from the file argument or stdin (blank lines and # comments skipped):
+lines without a version field (or \"version\":1) are classic AnalyzeRequests,
+lines with \"version\":2 are session operations ({version, session, op:
+{Open{base}} or {Delta{delta}}}). Ops for one session serialize through one
+shard; deltas are applied incrementally (guided replay) with full re-partition as
+the fallback. Responses are JSONL on stdout in request order; service statistics
+(memo hits and misses, session ops, isolated panics) go to stderr.
 
-repartition replays a *versioned* JSONL stream through the same service: lines
-without a version field (or \"version\":1) are classic AnalyzeRequests, lines with
-\"version\":2 are session operations ({version, session, op: {Open{base}} or
-{Delta{delta}}}). Ops for one session serialize through one shard; deltas are
-applied incrementally (guided replay) with full re-partition as the fallback.
-With --fuzz it instead runs the delta-stream differential campaign (incremental
-apply must equal a from-scratch partition bit-identically; exit code 2 on
-divergence, with the delta sequence shrunk in the report).
+repartition serves the same stream the same way. With --fuzz it instead runs the
+delta-stream differential campaign (incremental apply must equal a from-scratch
+partition bit-identically; exit code 2 on divergence, with the delta sequence
+shrunk in the report).
 
 serve runs the same versioned JSONL protocol over TCP: persistent connections,
 one response line per request line in order, per-client token-bucket rate
@@ -130,8 +130,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         Some("check") => cmd_check(&args[1..]).map(|()| ExitCode::SUCCESS),
         Some("generate") => cmd_generate(&args[1..]).map(|()| ExitCode::SUCCESS),
         Some("fuzz") => cmd_fuzz(&args[1..]),
-        Some("serve-batch") => cmd_serve_batch(&args[1..]).map(|()| ExitCode::SUCCESS),
-        Some("repartition") => cmd_repartition(&args[1..]),
+        Some("serve-batch") => cmd_serve_stream(&args[1..]).map(|()| ExitCode::SUCCESS),
+        Some("repartition") if has_flag(&args[1..], "--fuzz") => cmd_repartition_fuzz(&args[1..]),
+        Some("repartition") => cmd_serve_stream(&args[1..]).map(|()| ExitCode::SUCCESS),
         Some("serve") => cmd_serve(&args[1..]).map(|()| ExitCode::SUCCESS),
         Some("help") | Some("--help") | Some("-h") => {
             println!("{USAGE}");
@@ -421,57 +422,10 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve_batch(args: &[String]) -> Result<(), String> {
-    use rmts::svc::{wire, Service, ServiceConfig};
-    use std::io::Read;
-
-    let input = match args.first().filter(|a| !a.starts_with('-')) {
-        Some(path) => std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?,
-        None => {
-            let mut buf = String::new();
-            std::io::stdin()
-                .read_to_string(&mut buf)
-                .map_err(|e| format!("read stdin: {e}"))?;
-            buf
-        }
-    };
-    let reqs = wire::parse_requests(&input)?;
-    let shards: usize = flag_value(args, "--shards")
-        .unwrap_or("4")
-        .parse()
-        .map_err(|e| format!("--shards: {e}"))?;
-
-    let recording = has_flag(args, "--stats").then(rmts::obs::Recording::start);
-    let svc = Service::new(ServiceConfig::new().with_shards(shards));
-    let n = reqs.len();
-    let t0 = std::time::Instant::now();
-    let responses = svc.analyze_batch(reqs);
-    let elapsed = t0.elapsed();
-    print!("{}", wire::render_responses(&responses));
-
-    let stats = svc.stats();
-    eprintln!(
-        "served {n} request(s) in {:.1} ms on {shards} shard(s): \
-         {} memo hit(s), {} miss(es), {} panic(s) isolated",
-        elapsed.as_secs_f64() * 1e3,
-        stats.memo_hits,
-        stats.memo_misses,
-        stats.panics,
-    );
-    if let Some(rec) = recording {
-        let snap = rec.finish();
-        eprintln!(
-            "{}",
-            serde_json::to_string_pretty(&snap).map_err(|e| e.to_string())?
-        );
-    }
-    Ok(())
-}
-
-fn cmd_repartition(args: &[String]) -> Result<ExitCode, String> {
-    if has_flag(args, "--fuzz") {
-        return cmd_repartition_fuzz(args);
-    }
+/// `serve-batch [FILE]` and `repartition [FILE]`: parses a versioned JSONL
+/// stream from the file or stdin, serves it through the service and writes
+/// one response line per request, in request order.
+fn cmd_serve_stream(args: &[String]) -> Result<(), String> {
     use rmts::svc::{wire, Service, ServiceConfig};
     use std::io::Read;
 
@@ -491,6 +445,7 @@ fn cmd_repartition(args: &[String]) -> Result<ExitCode, String> {
         .parse()
         .map_err(|e| format!("--shards: {e}"))?;
 
+    let recording = has_flag(args, "--stats").then(rmts::obs::Recording::start);
     let svc = Service::new(ServiceConfig::new().with_shards(shards));
     let n = reqs.len();
     let t0 = std::time::Instant::now();
@@ -499,11 +454,23 @@ fn cmd_repartition(args: &[String]) -> Result<ExitCode, String> {
     print!("{}", wire::render_stream_responses(&responses));
 
     let sessions = responses.iter().filter(|r| r.session.is_some()).count();
+    let stats = svc.stats();
     eprintln!(
-        "served {n} request(s) ({sessions} session op(s)) in {:.1} ms on {shards} shard(s)",
+        "served {n} request(s) ({sessions} session op(s)) in {:.1} ms on {shards} shard(s): \
+         {} memo hit(s), {} miss(es), {} panic(s) isolated",
         elapsed.as_secs_f64() * 1e3,
+        stats.memo_hits,
+        stats.memo_misses,
+        stats.panics,
     );
-    Ok(ExitCode::SUCCESS)
+    if let Some(rec) = recording {
+        let snap = rec.finish();
+        eprintln!(
+            "{}",
+            serde_json::to_string_pretty(&snap).map_err(|e| e.to_string())?
+        );
+    }
+    Ok(())
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {

@@ -76,7 +76,7 @@ pub mod prelude {
         SpecError, WithBound,
     };
     pub use rmts_gen::{GenConfig, PeriodGen, UtilizationSpec};
-    pub use rmts_net::{NetConfig, Server, ShedPolicy};
+    pub use rmts_net::{NetConfig, Server};
     pub use rmts_obs::{Recording, StatsSnapshot};
     pub use rmts_sim::{simulate_global, simulate_partitioned, SimConfig, SimReport};
     pub use rmts_svc::{AnalyzeRequest, BudgetSpec, Service, ServiceConfig, Verdict};

@@ -353,6 +353,57 @@ fn serve_batch_answers_jsonl_in_order_with_memoization() {
 }
 
 #[test]
+fn serve_batch_stats_count_a_mixed_stream_and_match_repartition() {
+    use rmts::svc::{AlgorithmSpec, AnalyzeRequest, RepartitionRequest};
+    use rmts::taskmodel::{Task, TaskSetDelta};
+
+    let dup = AnalyzeRequest::new(vec![(1, 4), (2, 8), (2, 8)], 2, AlgorithmSpec::RmTsLight);
+    let distinct = AnalyzeRequest::new(vec![(1, 5), (2, 9)], 2, AlgorithmSpec::RmTsLight);
+    let lines = [
+        serde_json::to_string(&dup).unwrap(),
+        serde_json::to_string(&RepartitionRequest::open("s", dup.clone())).unwrap(),
+        serde_json::to_string(&dup).unwrap(),
+        serde_json::to_string(&RepartitionRequest::delta(
+            "s",
+            TaskSetDelta::update(Task::from_ticks(0, 2, 4).unwrap()),
+        ))
+        .unwrap(),
+        serde_json::to_string(&distinct).unwrap(),
+        serde_json::to_string(&RepartitionRequest::close("s")).unwrap(),
+    ];
+    let input = temppath::TempPath::new("rmts_cli_mixed.jsonl", &(lines.join("\n") + "\n"));
+    let serve = |cmd: &str, extra: &[&str]| {
+        let out = cli()
+            .args([cmd, input.as_str(), "--shards", "2"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out
+    };
+    let batch = serve("serve-batch", &["--stats"]);
+    // Three v1 requests ask two questions; the three session ops are never
+    // memoized, so each counts as a miss.
+    let stderr = String::from_utf8_lossy(&batch.stderr);
+    assert!(stderr.contains("(3 session op(s))"), "{stderr}");
+    assert!(stderr.contains("1 memo hit(s), 5 miss(es)"), "{stderr}");
+    let json_start = stderr.find('{').expect("JSON snapshot on stderr");
+    let snap: rmts::obs::StatsSnapshot =
+        serde_json::from_str(&stderr[json_start..]).expect("snapshot parses");
+    assert_eq!(snap.counter("svc.batch.requests"), 6);
+    assert_eq!(snap.counter("svc.memo.hits"), 1);
+    assert_eq!(snap.counter("svc.memo.misses"), 5);
+    assert!(snap.histogram("svc.batch.latency_us").is_some());
+
+    assert_eq!(String::from_utf8_lossy(&batch.stdout).lines().count(), 6);
+    assert_eq!(batch.stdout, serve("repartition", &[]).stdout);
+}
+
+#[test]
 fn serve_batch_locates_malformed_request_lines() {
     let input = temppath::TempPath::new("rmts_cli_bad_batch.jsonl", "# ok\nnot json\n");
     let out = cli()

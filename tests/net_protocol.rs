@@ -1,18 +1,20 @@
 //! Protocol battery for the TCP front end: over-the-wire answers must be
 //! **bit-identical** to in-process [`Service`] answers — v1 analyze lines,
-//! v2 session streams, pipelining, interleaved clients, and kill/restart
-//! warm starts from the memo snapshot.
+//! v2 session streams, pipelining, concurrent and interleaved clients, and
+//! kill/restart warm starts from the memo snapshot.
 
+use rmts::gen::{trial_rng, GenConfig, PeriodGen, UtilizationSpec};
 use rmts::net::{NetConfig, Server};
 use rmts::svc::{
     render_stream_responses, wire, AnalyzeRequest, RepartitionRequest, Request, Service,
     ServiceConfig,
 };
 use rmts::taskmodel::{Task, TaskSetDelta};
-use rmts_core::AlgorithmSpec;
+use rmts_core::{AlgorithmSpec, BoundSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::Barrier;
 
 /// A self-cleaning temp path for snapshot files.
 struct TempPath(PathBuf);
@@ -165,6 +167,95 @@ fn second_connection_gets_fresh_ordinals() {
 }
 
 #[test]
+fn concurrent_closed_loop_clients_are_each_answered_once_and_in_order() {
+    // Eight clients, each on its own connection, send one request and
+    // wait for its answer, repeatedly, over duplicate-heavy traffic. Every
+    // answer must equal the in-process answer to the same question, the
+    // ordinals must be dense per connection, and nothing may be shed,
+    // throttled or refused.
+    const CLIENTS: usize = 8;
+    const PER_CLIENT: usize = 40;
+    let service = ServiceConfig::new().with_shards(8);
+    let reqs: Vec<AnalyzeRequest> = (0..16u64)
+        .map(|trial| {
+            let pairs = GenConfig::new(24 + (trial % 8) as usize, 0.85 * 4.0)
+                .with_periods(PeriodGen::LogUniform {
+                    min: 10_000,
+                    max: 1_000_000,
+                    granularity: 10_000,
+                })
+                .with_utilization(UtilizationSpec::capped(0.6))
+                .generate(&mut trial_rng(0xA7, trial))
+                .expect("generator")
+                .tasks()
+                .iter()
+                .map(|t| (t.wcet.ticks(), t.period.ticks()))
+                .collect();
+            let algorithm = if trial % 2 == 0 {
+                AlgorithmSpec::RmTsLight
+            } else {
+                AlgorithmSpec::RmTs {
+                    bound: BoundSpec::HarmonicChain,
+                }
+            };
+            AnalyzeRequest::new(pairs, 4, algorithm)
+        })
+        .collect();
+    let reference =
+        Service::new(service).run_stream(reqs.iter().cloned().map(Request::Analyze).collect());
+    let reference: Vec<wire::ResponseRecord> = render_stream_responses(&reference)
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    let lines: Vec<String> = reqs
+        .iter()
+        .map(|r| serde_json::to_string(r).unwrap())
+        .collect();
+
+    let server = Server::start(NetConfig::new().with_service(service)).unwrap();
+    let connected = Barrier::new(CLIENTS);
+    let answered: usize = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|id| {
+                let (server, connected, lines, reference) =
+                    (&server, &connected, &lines, &reference);
+                scope.spawn(move || {
+                    let mut client = Client::connect(server);
+                    connected.wait();
+                    for i in 0..PER_CLIENT {
+                        // Clients start at different sets, so hits and
+                        // misses mix across connections.
+                        let k = (id * 7 + i) % lines.len();
+                        client.send_lines(std::slice::from_ref(&lines[k]));
+                        let mut rec: wire::ResponseRecord =
+                            serde_json::from_str(&client.read_line()).unwrap();
+                        assert_eq!(rec.index, i, "client {id}: ordinals must be dense");
+                        // Whether the memo answered depends on timing.
+                        rec.index = reference[k].index;
+                        rec.memo_hit = reference[k].memo_hit;
+                        assert_eq!(rec, reference[k], "client {id}, request {i}");
+                    }
+                    PER_CLIENT
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).sum()
+    });
+
+    let total = CLIENTS * PER_CLIENT;
+    assert_eq!(answered, total);
+    let net = server.net_stats();
+    assert_eq!(net.served, total as u64, "{net:?}");
+    assert_eq!(net.shed_degraded + net.shed_overloaded, 0, "{net:?}");
+    assert_eq!(
+        net.malformed + net.oversized + net.rate_limited,
+        0,
+        "{net:?}"
+    );
+    assert_eq!(server.stop().unwrap().completed, total as u64);
+}
+
+#[test]
 fn interleaved_sessions_from_two_clients_stay_isolated() {
     // Two clients drive two sessions whose ops interleave arbitrarily on
     // the server. Each client's answers must match a dedicated in-process
@@ -294,7 +385,7 @@ fn foreign_fingerprint_snapshot_is_rejected_cold() {
     // Produce a genuine snapshot, then rewrite it under a foreign engine
     // fingerprint — as if a different build had written it.
     let svc = Service::new(service_config());
-    svc.analyze_batch(vec![analyze(vec![(1, 4), (2, 8)], 2)]);
+    svc.run_stream(vec![Request::Analyze(analyze(vec![(1, 4), (2, 8)], 2))]);
     let tmp = TempPath::new("net_protocol_stale_src.bin");
     svc.shutdown_with_snapshot(tmp.path()).unwrap();
     let (entries, _) = rmts::svc::snapshot::read_snapshot(tmp.path());
