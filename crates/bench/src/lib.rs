@@ -1,75 +1,34 @@
-//! Shared fixtures for the experiment benchmarks.
+//! Shared fixtures for the kernel benchmarks.
 //!
-//! Each bench target under `benches/` reproduces one experiment from
-//! DESIGN.md §3: it first prints a reduced-trial reproduction table (the
-//! full-size tables come from the `rmts-exp` binaries) and then times the
-//! computational kernel with Criterion.
+//! The `experiments` target times every `rmts-exp` registry entry's quick
+//! run; the other targets time one analysis kernel each (MaxSplit, the
+//! admission cache, whole-set and incremental partitioning). The tables
+//! themselves come from `rmts-exp <id>`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rmts_gen::{GenConfig, PeriodGen, UtilizationSpec};
+use rmts_gen::GenConfig;
 
-/// Trials per grid point for the quick tables printed by benches.
-pub const QUICK_TRIALS: u64 = 50;
+/// The master seed used across all benches (the experiments' default).
+pub const SEED: u64 = rmts_exp::cli::DEFAULT_SEED;
 
-/// The master seed used across all benches (tables are reproducible).
-pub const SEED: u64 = 0x52_4D_54_53; // "RMTS"
-
-/// General task sets (EXP-1): log-uniform periods on a 10 ms grid,
-/// unconstrained utilizations, `n = 4·m` tasks.
+/// EXP-1's general task sets: `n = 4·m` tasks at normalized utilization
+/// `u`, with [`GenConfig::new`]'s log-uniform periods and unconstrained
+/// utilizations.
 pub fn general_cfg(m: usize) -> impl Fn(f64) -> GenConfig + Sync {
-    move |u| {
-        GenConfig::new(4 * m, u * m as f64)
-            .with_periods(PeriodGen::LogUniform {
-                min: 10_000,
-                max: 1_000_000,
-                granularity: 10_000,
-            })
-            .with_utilization(UtilizationSpec::any())
-    }
-}
-
-/// Light task sets (EXP-2): individual utilizations capped at 0.4
-/// (≈ `Θ/(1+Θ)`), `n = 6·m` tasks so high totals stay feasible.
-pub fn light_cfg(m: usize) -> impl Fn(f64) -> GenConfig + Sync {
-    move |u| {
-        GenConfig::new(6 * m, u * m as f64)
-            .with_periods(PeriodGen::LogUniform {
-                min: 10_000,
-                max: 1_000_000,
-                granularity: 10_000,
-            })
-            .with_utilization(UtilizationSpec::capped(0.40))
-    }
-}
-
-/// Harmonic light task sets (EXP-3): one octave chain, light tasks.
-pub fn harmonic_cfg(m: usize) -> impl Fn(f64) -> GenConfig + Sync {
-    move |u| {
-        GenConfig::new(6 * m, u * m as f64)
-            .with_periods(PeriodGen::Harmonic {
-                base: 10_000,
-                octaves: 5,
-            })
-            .with_utilization(UtilizationSpec::capped(0.40))
-    }
+    move |u| GenConfig::new(4 * m, u * m as f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rmts_gen::trial_rng;
-    use rmts_taskmodel::harmonic::taskset_is_harmonic;
 
     #[test]
     fn fixtures_generate() {
         let mut rng = trial_rng(SEED, 0);
         let g = general_cfg(4)(0.8).generate(&mut rng).unwrap();
         assert_eq!(g.len(), 16);
-        let l = light_cfg(4)(0.8).generate(&mut rng).unwrap();
-        assert!(l.max_utilization() <= 0.405);
-        let h = harmonic_cfg(4)(0.9).generate(&mut rng).unwrap();
-        assert!(taskset_is_harmonic(&h));
     }
 }

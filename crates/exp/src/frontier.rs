@@ -26,7 +26,7 @@ use crate::breakdown::breakdown_of;
 use crate::parallel::parallel_map;
 use crate::table::{f, pct, Table};
 use rmts_core::{AlgorithmSpec, DynPartitioner};
-use rmts_gen::{trial_rng, GenConfig, PeriodGen, UtilizationSpec};
+use rmts_gen::{trial_rng, GenConfig};
 use serde::Serialize;
 
 /// Shape of a frontier run: which machines, which grid, how much data.
@@ -45,13 +45,18 @@ pub struct FrontierConfig {
 }
 
 impl FrontierConfig {
+    /// Task sets per grid point of [`full`](Self::full).
+    pub const FULL_TRIALS: u64 = 200;
+    /// Task sets per grid point of [`smoke`](Self::smoke).
+    pub const SMOKE_TRIALS: u64 = 12;
+
     /// The committed-artifact configuration: m ∈ {4, 16, 64}, a
     /// 0.60–1.00 grid, enough trials for stable percentages.
     pub fn full(seed: u64) -> Self {
         FrontierConfig {
             ms: vec![4, 16, 64],
             grid: Self::grid_pct(60, 100, 5),
-            trials: 200,
+            trials: Self::FULL_TRIALS,
             shapes: 100,
             seed,
         }
@@ -63,7 +68,7 @@ impl FrontierConfig {
         FrontierConfig {
             ms: vec![2, 4],
             grid: Self::grid_pct(60, 100, 10),
-            trials: 12,
+            trials: Self::SMOKE_TRIALS,
             shapes: 8,
             seed,
         }
@@ -144,19 +149,6 @@ pub struct FrontierReport {
     pub machines: Vec<MachineFrontier>,
 }
 
-/// The generator template both studies share: log-uniform periods,
-/// unconstrained per-task utilizations — the same family as EXP-1/EXP-5,
-/// so frontier numbers are comparable with the earlier experiments.
-fn frontier_config(n: usize, total_u: f64) -> GenConfig {
-    GenConfig::new(n, total_u)
-        .with_periods(PeriodGen::LogUniform {
-            min: 10_000,
-            max: 1_000_000,
-            granularity: 10_000,
-        })
-        .with_utilization(UtilizationSpec::any())
-}
-
 /// Rounds to 4 decimals so serialized artifacts stay byte-stable and
 /// diffable (the bisection itself resolves ≈ 2⁻¹² ≈ 0.0002).
 fn round4(x: f64) -> f64 {
@@ -183,7 +175,10 @@ pub fn frontier(cfg: &FrontierConfig) -> FrontierReport {
                 &cfg.grid,
                 cfg.trials,
                 cfg.seed,
-                &move |u| frontier_config(n, u * m as f64),
+                // `GenConfig::new`'s general sets: log-uniform periods,
+                // unconstrained utilizations — EXP-1/EXP-5's family, so
+                // frontier numbers compare with the earlier experiments.
+                &move |u| GenConfig::new(n, u * m as f64),
                 CheckLevel::Rta,
             )
             .into_iter()
@@ -198,7 +193,7 @@ pub fn frontier(cfg: &FrontierConfig) -> FrontierReport {
             // Breakdown: one shape set per machine, shared by every
             // algorithm — columns are comparable pointwise, and the
             // expensive generation happens once per shape.
-            let shape_cfg = frontier_config(n, m as f64);
+            let shape_cfg = GenConfig::new(n, m as f64);
             let per_shape: Vec<Option<Vec<f64>>> = parallel_map(cfg.shapes, |t| {
                 let mut rng = trial_rng(cfg.seed ^ 0xb4ea, t);
                 let ts = shape_cfg.generate(&mut rng)?;

@@ -1,11 +1,15 @@
 //! # `rmts-exp` — the experiment harness
 //!
 //! Regenerates the paper's evaluation (reconstructed; see DESIGN.md §3 for
-//! the experiment index EXP-1…EXP-7 / ABL-1…ABL-2):
+//! the experiment index EXP-1…EXP-12 / ABL-1…ABL-2) through one runner,
+//! `rmts-exp <id> [--quick] [--trials N] [--seed S] [--out DIR]`:
 //!
+//! * [`registry`] — one entry per table; the binary, the script, the
+//!   `experiments` bench target and the tests all iterate it.
+//! * [`cli`] — the one argument parser and the table/artifact output.
 //! * [`acceptance`] — acceptance-ratio-vs-normalized-utilization sweeps
 //!   comparing RM-TS, RM-TS/light, the \[16\]-style SPA baselines and
-//!   strict partitioned RM (EXP-1, EXP-2, EXP-3).
+//!   strict partitioned RM (EXP-1, EXP-2, EXP-3, EXP-8, ABL-2).
 //! * [`verify`] — bound-verification campaigns: thousands of task sets at
 //!   `U_M(τ) ≤ Λ(τ)` per (bound × algorithm) cell, expecting **zero**
 //!   rejections, with RTA and simulator cross-checks (EXP-4).
@@ -14,6 +18,8 @@
 //!   the classic "~88% average vs. 69.3% worst case" observation (EXP-5).
 //! * [`structure`] — structural statistics of produced partitions: split
 //!   tasks, pre-assigned processors, wall-clock partitioning time (EXP-6).
+//! * [`weighted`] (EXP-11) and [`frontier`] (EXP-12, the whole algorithm
+//!   catalogue head to head).
 //! * [`parallel`] — deterministic fan-out of independent trials over all
 //!   cores (coarse-grained parallelism, per-trial derived seeds).
 //! * [`table`] — fixed-width text and CSV rendering of result tables.
@@ -38,19 +44,9 @@ pub mod breakdown;
 pub mod cli;
 pub mod frontier;
 pub mod parallel;
+pub mod registry;
 pub mod sizing;
 pub mod structure;
 pub mod table;
 pub mod verify;
 pub mod weighted;
-
-pub use acceptance::{acceptance_sweep, AcceptanceRate, CheckLevel, SweepPoint};
-pub use breakdown::{average_breakdown, BreakdownStats};
-pub use frontier::{frontier, FrontierConfig, FrontierReport};
-pub use parallel::{parallel_map, parallel_map_isolated, with_workspace, TrialFault};
-pub use sizing::{min_processors_by_bound, min_processors_by_partitioning};
-pub use structure::{structure_stats, StructureStats};
-pub use table::wilson95;
-pub use table::Table;
-pub use verify::{verify_campaign, VerifyOutcome};
-pub use weighted::{weighted_schedulability, Weighted};

@@ -1,8 +1,6 @@
 //! Result tables: fixed-width text and CSV.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 /// A simple column-aligned table.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -78,9 +76,9 @@ impl Table {
         out
     }
 
-    /// Writes the table as CSV (RFC-4180-ish: cells containing commas or
+    /// Renders the table as CSV (RFC-4180-ish: cells containing commas or
     /// quotes are quoted).
-    pub fn write_csv(&self, path: &Path) -> io::Result<()> {
+    pub fn to_csv(&self) -> String {
         let mut s = String::new();
         let esc = |c: &str| -> String {
             if c.contains(',') || c.contains('"') || c.contains('\n') {
@@ -105,7 +103,7 @@ impl Table {
                 row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
             );
         }
-        std::fs::write(path, s)
+        s
     }
 }
 
@@ -166,14 +164,9 @@ mod tests {
 
     #[test]
     fn csv_escaping() {
-        let dir = std::env::temp_dir().join("rmts_table_test.csv");
         let mut t = Table::new("x", &["a", "b"]);
         t.push_row(vec!["has,comma".into(), "has\"quote".into()]);
-        t.write_csv(&dir).unwrap();
-        let s = std::fs::read_to_string(&dir).unwrap();
-        assert!(s.contains("\"has,comma\""));
-        assert!(s.contains("\"has\"\"quote\""));
-        let _ = std::fs::remove_file(&dir);
+        assert_eq!(t.to_csv(), "a,b\n\"has,comma\",\"has\"\"quote\"\n");
     }
 
     #[test]
