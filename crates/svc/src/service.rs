@@ -5,8 +5,9 @@
 //! no shard lock at all, and any other job runs under its shard's lock
 //! (see the crate docs). Batches fan out over one scoped worker per
 //! shard. The lock order is: the checkpoint lock, then shard locks in
-//! index order, then a journal writer or memo table. Only checkpoint and
-//! shutdown hold more than one shard lock.
+//! index order, then a journal writer, the engine interner or a memo
+//! table, the interner before a memo table. Only checkpoint and shutdown
+//! hold more than one shard lock.
 //!
 //! Because analysis runs on the submitting thread, its `core.*` and
 //! `rta.*` counters land in that thread's `obs` recording, when one is
@@ -20,7 +21,7 @@ use crate::durability::{
 use crate::journal::{JournalOp, JournalWriter};
 use crate::record::{fnv1a, RecordReport, FNV_OFFSET};
 use crate::request::{AnalyzeRequest, RepartitionRequest, Request, Response, Verdict};
-use crate::shard::{self, engine_key, AnalyzeJob, Memo, SessionJob, Shard, ShardExport};
+use crate::shard::{self, AnalyzeJob, EngineIds, EngineKey, Memo, SessionJob, Shard, ShardExport};
 use crate::snapshot::{self, MemoEntry, SnapshotReport};
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -261,10 +262,11 @@ impl Service {
         // Route each restored entry exactly like a live request: by the
         // FNV-1a hash of its canonical pairs. A future request for the
         // same set looks it up in the table that now holds it.
-        let mut memos: Vec<Memo> = (0..shards).map(|_| Memo::default()).collect();
+        let ids = Arc::new(Mutex::new(EngineIds::default()));
+        let mut memos: Vec<Memo> = (0..shards).map(|_| Memo::new(Arc::clone(&ids))).collect();
         for entry in entries {
-            let shard = (canonical_hash(&entry.pairs) % shards as u64) as usize;
-            memos[shard].seed(entry);
+            let hash = canonical_hash(entry.pairs.iter().copied());
+            memos[(hash % shards as u64) as usize].seed(hash, entry);
         }
         let memos: Vec<Arc<Memo>> = memos.into_iter().map(Arc::new).collect();
         let stats = Arc::new(SharedStats {
@@ -412,7 +414,7 @@ impl Service {
         let canon = CanonicalSet::of_pairs(&req.taskset);
         AnalyzeJob {
             index,
-            engine: engine_key(&req, canon.pairs().len()),
+            engine: EngineKey::of(&req, canon.permutation().len()),
             canon,
             req,
         }
@@ -426,8 +428,8 @@ impl Service {
         // A hit is answered here, without the shard lock; a miss takes the
         // lock, and the shard re-checks before analysing.
         match self.memos[shard].get(&job) {
-            Some(outcome) => job.answer(shard, outcome, true, &self.stats),
-            None => self.on_shard(shard, |s| s.serve(job)),
+            Ok(outcome) => job.answer(shard, outcome, true, &self.stats),
+            Err(engine) => self.on_shard(shard, |s| s.serve(job, engine)),
         }
     }
 

@@ -2,29 +2,34 @@
 //! isolation — behind one lock.
 //!
 //! A shard is plain state, not a thread. It owns an **engine arena** —
-//! one built [`DynPartitioner`] per distinct engine fingerprint
-//! (algorithm, options and task-set size for the size-dependent SPA
-//! thresholds), so a million requests against the same configuration
-//! construct the engine once — plus a partitioning workspace and the
-//! live sessions routed to it. The service keeps each shard behind its
+//! one built [`DynPartitioner`] per distinct engine id (algorithm,
+//! options and task-set size for the size-dependent SPA thresholds), so
+//! a million requests against the same configuration construct the
+//! engine once — plus a partitioning workspace and the live sessions
+//! routed to it. The service keeps each shard behind its
 //! own `Mutex`, and every job runs **on the thread that submits it**,
 //! under that lock: [`Shard::serve`] and [`Shard::serve_session`] serve
 //! one job and return its [`Response`]. Ops on one session always route
 //! to one shard, so the lock serializes them in submission order.
 //!
-//! A shard is the only writer of its **memo table** ([`Memo`]):
-//! `(canonical pairs, m, engine fingerprint) → Arc<AnalysisOutcome>`. The
-//! key stores the *full* canonical pair list, not a hash, so collisions
-//! are impossible; the routing hash only decides which shard a request
-//! lands on. The memo is shared read-mostly (an `RwLock` behind an
-//! `Arc`): the submitting thread looks a v1 request up itself and answers
-//! a hit on the spot, without the shard lock. A miss takes the lock and
-//! looks the key up **again** before analysing: a duplicate that waited
-//! for the lock behind the job creating its entry is still a hit. Because
-//! only a lock holder inserts, and it re-checks before every analysis,
-//! each distinct key is analysed exactly once, and for one submitter its
-//! first occurrence is the miss — hit/miss labels and counters are a
-//! function of the request stream, not of thread timing.
+//! Only a shard adds entries to its **memo table** ([`Memo`]):
+//! `(canonical pairs, m, engine) → Arc<AnalysisOutcome>`. The key holds
+//! the *full* canonical pair list, packed (see [`crate::canonical`]), not
+//! a hash, so collisions are impossible; the routing hash only decides
+//! which shard a request lands on and which table slot it probes. The
+//! engine is an [`EngineKey`] — the request's algorithm and options plus
+//! the set size — interned to a service-wide `u32` ([`EngineIds`]); the
+//! fingerprint *text* that memo snapshots carry is rendered once per
+//! distinct key, never per request. The memo is shared read-mostly (an
+//! `RwLock` behind an `Arc`): the submitting thread looks a v1 request up
+//! itself and answers a hit on the spot, without the shard lock. A miss
+//! takes the lock and looks the key up **again** before analysing: a
+//! duplicate that waited for the lock behind the job creating its entry
+//! is still a hit. Because only a lock holder inserts, and it re-checks
+//! before every analysis, each distinct key is analysed exactly once, and
+//! for one submitter its first occurrence is the miss — hit/miss labels
+//! and counters are a function of the request stream, not of thread
+//! timing.
 //!
 //! A request that panics inside the engine (e.g. `m = 0` trips the
 //! engines' `assert!(m > 0)`) is contained by per-request `catch_unwind`
@@ -34,19 +39,22 @@
 //! [`Verdict::Invalid`] response, the lock stays unpoisoned, and the
 //! shard keeps serving.
 
-use crate::canonical::{fnv1a, CanonicalSet};
+use crate::canonical::{self, CanonicalSet};
 use crate::durability::DurabilityState;
 use crate::journal::JournalOp;
 use crate::request::{
-    AnalysisOutcome, AnalyzeRequest, RepartitionRequest, Response, SessionMeta, SessionOp, Verdict,
+    AnalysisOutcome, AnalyzeRequest, BudgetSpec, RepartitionRequest, Response, SessionMeta,
+    SessionOp, Verdict,
 };
 use crate::service::SharedStats;
 use crate::snapshot::MemoEntry;
 use rmts_core::{
-    DynPartitioner, Partition, PartitionReject, PartitionSession, PartitionWorkspace,
-    RepartitionError,
+    AdmissionPolicy, AlgorithmSpec, DynPartitioner, Partition, PartitionReject, PartitionSession,
+    PartitionWorkspace, RepartitionError,
 };
-use std::collections::HashMap;
+use std::collections::{hash_map, HashMap};
+use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -99,9 +107,8 @@ pub(crate) struct AnalyzeJob {
     pub index: usize,
     pub canon: CanonicalSet,
     pub req: AnalyzeRequest,
-    /// The engine fingerprint ([`engine_key`]), formatted once at
-    /// submission where the memo lookup first needs it.
-    pub engine: String,
+    /// The engine `req` asks for against `canon`.
+    pub engine: EngineKey,
 }
 
 impl AnalyzeJob {
@@ -146,108 +153,275 @@ pub(crate) struct SessionJob {
     pub record: bool,
 }
 
-/// The engine fingerprint of `req` against a canonical set of `n` tasks.
-/// `Debug` of the request's option fields is deterministic (unit enums,
-/// integers), making the fingerprint stable across runs — restored memo
-/// entries carry it. The task-set size is folded in because the SPA
-/// thresholds Θ(n) make engines size-dependent.
-pub(crate) fn engine_key(req: &AnalyzeRequest, n: usize) -> String {
-    format!(
-        "{:?}|{:?}|{:?}|{}|{}",
-        req.algorithm, req.policy, req.budget, req.degrade, n
-    )
+/// The engine a v1 request asks for against a canonical set of `n`
+/// tasks: its algorithm and options, plus `n` because the SPA thresholds
+/// Θ(n) make engines size-dependent. Built without allocating. Two keys
+/// are equal exactly when their fingerprint texts ([`fmt::Display`]) are,
+/// so grouping by key is grouping by the text memo snapshots carry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct EngineKey {
+    algorithm: AlgorithmSpec,
+    policy: PolicyKey,
+    budget: BudgetSpec,
+    degrade: bool,
+    n: usize,
 }
 
-/// Exact-equality memo key (see the module docs).
-#[derive(PartialEq, Eq)]
-struct MemoKey {
-    pairs: Vec<(u64, u64)>,
+impl EngineKey {
+    pub(crate) fn of(req: &AnalyzeRequest, n: usize) -> Self {
+        EngineKey {
+            algorithm: req.algorithm,
+            policy: PolicyKey(req.policy),
+            budget: req.budget,
+            degrade: req.degrade,
+            n,
+        }
+    }
+}
+
+/// The engine fingerprint text: `Debug` of the option fields, which is
+/// deterministic (unit enums, integers, shortest round-trip floats), so
+/// it is stable across runs and builds.
+impl fmt::Display for EngineKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{:?}|{:?}|{:?}|{}|{}",
+            self.algorithm, self.policy.0, self.budget, self.degrade, self.n
+        )
+    }
+}
+
+/// An admission-policy override, compared as its `Debug` text would be:
+/// `theta` by its bits (so `0.0` and `-0.0` differ), every NaN alike.
+#[derive(Debug, Clone, Copy)]
+struct PolicyKey(Option<AdmissionPolicy>);
+
+impl PolicyKey {
+    fn bits(self) -> (u8, u64) {
+        match self.0 {
+            None => (0, 0),
+            Some(AdmissionPolicy::ExactRta { strategy, cached }) => {
+                (1, (strategy as u64) << 1 | u64::from(cached))
+            }
+            Some(AdmissionPolicy::DensityThreshold { theta }) if theta.is_nan() => {
+                (2, f64::NAN.to_bits())
+            }
+            Some(AdmissionPolicy::DensityThreshold { theta }) => (2, theta.to_bits()),
+        }
+    }
+}
+
+impl PartialEq for PolicyKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.bits() == other.bits()
+    }
+}
+
+impl Eq for PolicyKey {}
+
+impl Hash for PolicyKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.bits().hash(state);
+    }
+}
+
+/// The service-wide engine interner: each distinct engine fingerprint
+/// text gets one `u32`, which memo entries and shard engine arenas carry.
+/// Live keys are rendered once, on first sight; restored snapshot entries
+/// are interned by their text as written, so a restored entry answers any
+/// live key that renders to the same text.
+#[derive(Default)]
+pub(crate) struct EngineIds {
+    by_key: HashMap<EngineKey, u32>,
+    by_text: HashMap<Arc<str>, u32>,
+    texts: Vec<Arc<str>>,
+}
+
+impl EngineIds {
+    fn of_text(&mut self, text: &str) -> u32 {
+        if let Some(&id) = self.by_text.get(text) {
+            return id;
+        }
+        let id = u32::try_from(self.texts.len()).expect("fewer than 2^32 distinct engines");
+        let text: Arc<str> = text.into();
+        self.by_text.insert(Arc::clone(&text), id);
+        self.texts.push(text);
+        id
+    }
+
+    fn of_key(&mut self, key: &EngineKey) -> u32 {
+        if let Some(&id) = self.by_key.get(key) {
+            return id;
+        }
+        let id = self.of_text(&key.to_string());
+        self.by_key.insert(*key, id);
+        id
+    }
+}
+
+/// A memo table slot: routing hash, processor count and engine id. The
+/// table's default, keyed hasher mixes the routing hash, whose low bits
+/// are correlated with the shard (`hash % shards`) and which a client can
+/// steer.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct Slot {
+    hash: u64,
     m: usize,
-    engine: String,
+    engine: u32,
 }
 
-type MemoBucket = Vec<(MemoKey, Arc<AnalysisOutcome>)>;
+/// One memo entry: the packed canonical pairs it answers for and its
+/// outcome. A different set whose routing hash collides under the same
+/// `m` and engine chains behind it, so a collision costs a compare, never
+/// a wrong answer.
+struct Entry {
+    packed: Box<[u8]>,
+    outcome: Arc<AnalysisOutcome>,
+    next: Option<Box<Entry>>,
+}
+
+impl Entry {
+    fn chain(&self) -> impl Iterator<Item = &Entry> {
+        std::iter::successors(Some(self), |e| e.next.as_deref())
+    }
+}
+
+#[derive(Default)]
+struct Table {
+    /// This shard's copy of the engine ids its submitters have used, so
+    /// a lookup needs no lock beyond the table's.
+    engines: HashMap<EngineKey, u32>,
+    slots: HashMap<Slot, Entry>,
+}
+
+impl Table {
+    fn find(&self, slot: &Slot, packed: &[u8]) -> Option<Arc<AnalysisOutcome>> {
+        self.slots
+            .get(slot)?
+            .chain()
+            .find(|e| *e.packed == *packed)
+            .map(|e| Arc::clone(&e.outcome))
+    }
+
+    /// Adds an entry the caller has just looked up and missed.
+    fn insert(&mut self, slot: Slot, packed: Box<[u8]>, outcome: Arc<AnalysisOutcome>) {
+        let mut entry = Entry {
+            packed,
+            outcome,
+            next: None,
+        };
+        if let Some(head) = self.slots.get_mut(&slot) {
+            entry.next = head.next.take();
+            head.next = Some(Box::new(entry));
+        } else {
+            self.slots.insert(slot, entry);
+        }
+    }
+}
 
 /// One shard's memo table. Shared as `Arc<Memo>`: only the holder of its
-/// shard's lock writes it, every submitting thread reads it (see the
+/// shard's lock adds entries, every submitting thread reads it (see the
 /// module docs). Each method holds the table's own lock only for its own
-/// duration.
-///
-/// Buckets are keyed by `(canonical routing hash, m)`; each bucket is
-/// scanned with full exact-equality [`MemoKey`] comparison, so hash
-/// collisions cost a compare, never a wrong answer. The bucket layout
-/// keeps the lookup allocation-free (no owned key to build).
-#[derive(Default)]
+/// duration; none waits for the engine interner while holding it.
 pub(crate) struct Memo {
-    buckets: RwLock<HashMap<(u64, usize), MemoBucket>>,
+    ids: Arc<Mutex<EngineIds>>,
+    table: RwLock<Table>,
 }
 
 impl Memo {
-    /// The memoized outcome for `job`'s exact key, if any.
-    pub(crate) fn get(&self, job: &AnalyzeJob) -> Option<Arc<AnalysisOutcome>> {
-        self.buckets
+    pub(crate) fn new(ids: Arc<Mutex<EngineIds>>) -> Self {
+        Memo {
+            ids,
+            table: RwLock::default(),
+        }
+    }
+
+    fn slot(job: &AnalyzeJob, engine: u32) -> Slot {
+        Slot {
+            hash: job.canon.hash(),
+            m: job.req.m,
+            engine,
+        }
+    }
+
+    /// The memoized outcome for `job`'s exact key, or on a miss the id of
+    /// its engine. A key this shard has seen before costs one read-lock
+    /// acquisition and no allocation; a new one is interned first.
+    pub(crate) fn get(&self, job: &AnalyzeJob) -> Result<Arc<AnalysisOutcome>, u32> {
+        let table = self.table.read().expect("memo lock poisoned");
+        if let Some(&engine) = table.engines.get(&job.engine) {
+            return table
+                .find(&Self::slot(job, engine), job.canon.packed())
+                .ok_or(engine);
+        }
+        drop(table);
+        let engine = self.intern(&job.engine);
+        self.find(job, engine).ok_or(engine)
+    }
+
+    /// Assigns `key` its service-wide id and caches it in this table.
+    fn intern(&self, key: &EngineKey) -> u32 {
+        let engine = self.ids.lock().expect("engine ids poisoned").of_key(key);
+        self.table
+            .write()
+            .expect("memo lock poisoned")
+            .engines
+            .insert(*key, engine);
+        engine
+    }
+
+    fn find(&self, job: &AnalyzeJob, engine: u32) -> Option<Arc<AnalysisOutcome>> {
+        self.table
             .read()
             .expect("memo lock poisoned")
-            .get(&(job.canon.hash(), job.req.m))?
-            .iter()
-            .find(|(k, _)| k.engine == job.engine && k.pairs == job.canon.pairs())
-            .map(|(_, outcome)| Arc::clone(outcome))
+            .find(&Self::slot(job, engine), job.canon.packed())
     }
 
     /// Memoizes a freshly analysed `job` (which the caller has just
     /// looked up and missed).
-    fn insert(&self, job: &AnalyzeJob, outcome: Arc<AnalysisOutcome>) {
-        let key = MemoKey {
-            pairs: job.canon.pairs().to_vec(),
-            m: job.req.m,
-            engine: job.engine.clone(),
+    fn insert(&self, job: &AnalyzeJob, engine: u32, outcome: Arc<AnalysisOutcome>) {
+        self.table.write().expect("memo lock poisoned").insert(
+            Self::slot(job, engine),
+            job.canon.packed().into(),
+            outcome,
+        );
+    }
+
+    /// Adds a restored snapshot entry whose pairs have routing hash
+    /// `hash`, interning its engine text as written. Duplicate keys keep
+    /// the first entry (snapshots never contain two outcomes for one key,
+    /// but a hostile file must not corrupt the table).
+    pub(crate) fn seed(&mut self, hash: u64, entry: MemoEntry) {
+        let slot = Slot {
+            hash,
+            m: entry.m,
+            engine: self
+                .ids
+                .lock()
+                .expect("engine ids poisoned")
+                .of_text(&entry.engine),
         };
-        self.buckets
-            .write()
-            .expect("memo lock poisoned")
-            .entry((job.canon.hash(), job.req.m))
-            .or_default()
-            .push((key, outcome));
-    }
-
-    /// Adds a restored snapshot entry. Duplicate keys keep the first
-    /// entry (snapshots never contain two outcomes for one key, but a
-    /// hostile file must not corrupt the table).
-    pub(crate) fn seed(&mut self, entry: MemoEntry) {
-        let bucket = self
-            .buckets
-            .get_mut()
-            .expect("memo lock poisoned")
-            .entry((fnv1a(&entry.pairs), entry.m))
-            .or_default();
-        if bucket
-            .iter()
-            .any(|(k, _)| k.engine == entry.engine && k.pairs == entry.pairs)
-        {
-            return;
+        let packed = canonical::pack(entry.pairs.iter().copied()).into_boxed_slice();
+        let table = self.table.get_mut().expect("memo lock poisoned");
+        if table.find(&slot, &packed).is_none() {
+            table.insert(slot, packed, Arc::new(entry.outcome));
         }
-        bucket.push((
-            MemoKey {
-                pairs: entry.pairs,
-                m: entry.m,
-                engine: entry.engine,
-            },
-            Arc::new(entry.outcome),
-        ));
     }
 
-    /// Every entry, in table order.
+    /// Every entry, in table order, each with its engine's text.
     fn export(&self) -> Vec<MemoEntry> {
-        self.buckets
-            .read()
-            .expect("memo lock poisoned")
-            .values()
-            .flatten()
-            .map(|(k, outcome)| MemoEntry {
-                pairs: k.pairs.clone(),
-                m: k.m,
-                engine: k.engine.clone(),
-                outcome: (**outcome).clone(),
+        let ids = self.ids.lock().expect("engine ids poisoned");
+        let table = self.table.read().expect("memo lock poisoned");
+        table
+            .slots
+            .iter()
+            .flat_map(|(slot, head)| head.chain().map(move |e| (slot, e)))
+            .map(|(slot, e)| MemoEntry {
+                pairs: canonical::unpack(&e.packed),
+                m: slot.m,
+                engine: ids.texts[slot.engine as usize].to_string(),
+                outcome: (*e.outcome).clone(),
             })
             .collect()
     }
@@ -255,7 +429,8 @@ impl Memo {
 
 pub(crate) struct Shard {
     idx: usize,
-    engines: HashMap<String, DynPartitioner>,
+    /// Built engines by engine id ([`EngineIds`]).
+    engines: HashMap<u32, DynPartitioner>,
     /// This shard's memo table; only this shard's lock holder writes it.
     memo: Arc<Memo>,
     /// Recycled partitioning buffers (processor pool + plan queue), reused
@@ -319,9 +494,10 @@ impl Shard {
         }
     }
 
-    /// Serves one v1 job that missed the memo on its submitting thread.
-    pub(crate) fn serve(&mut self, job: AnalyzeJob) -> Response {
-        let (outcome, memo_hit) = self.outcome_for(&job);
+    /// Serves one v1 job that missed the memo on its submitting thread;
+    /// `engine` is the id that lookup returned.
+    pub(crate) fn serve(&mut self, job: AnalyzeJob, engine: u32) -> Response {
+        let (outcome, memo_hit) = self.outcome_for(&job, engine);
         job.answer(self.idx, outcome, memo_hit, &self.stats)
     }
 
@@ -569,15 +745,15 @@ impl Shard {
         }
     }
 
-    fn outcome_for(&mut self, job: &AnalyzeJob) -> (Arc<AnalysisOutcome>, bool) {
+    fn outcome_for(&mut self, job: &AnalyzeJob, engine: u32) -> (Arc<AnalysisOutcome>, bool) {
         // The submitter missed, but the entry may have been inserted since:
         // a duplicate that waited for this lock behind the job that created
         // it is still a hit.
-        if let Some(hit) = self.memo.get(job) {
+        if let Some(hit) = self.memo.find(job, engine) {
             return (hit, true);
         }
-        let outcome = Arc::new(self.analyze(job));
-        self.memo.insert(job, Arc::clone(&outcome));
+        let outcome = Arc::new(self.analyze(job, engine));
+        self.memo.insert(job, engine, Arc::clone(&outcome));
         // A fresh memo entry is not journaled (the memo is an optimization,
         // re-derivable from requests), but it does age the checkpoint.
         if let Some(dur) = self.dur.as_deref() {
@@ -586,7 +762,7 @@ impl Shard {
         (outcome, false)
     }
 
-    fn analyze(&mut self, job: &AnalyzeJob) -> AnalysisOutcome {
+    fn analyze(&mut self, job: &AnalyzeJob, engine: u32) -> AnalysisOutcome {
         let invalid = |algorithm: String, reason: String| AnalysisOutcome {
             algorithm,
             m: job.req.m,
@@ -601,15 +777,15 @@ impl Shard {
                 )
             }
         };
-        if !self.engines.contains_key(&job.engine) {
-            match job.req.algorithm.build_with(ts.len(), &job.req.options()) {
-                Ok(built) => {
-                    self.engines.insert(job.engine.clone(), built);
+        let engine = match self.engines.entry(engine) {
+            hash_map::Entry::Occupied(built) => built.into_mut(),
+            hash_map::Entry::Vacant(slot) => {
+                match job.req.algorithm.build_with(ts.len(), &job.req.options()) {
+                    Ok(built) => slot.insert(built),
+                    Err(e) => return invalid(job.req.algorithm.to_string(), e.to_string()),
                 }
-                Err(e) => return invalid(job.req.algorithm.to_string(), e.to_string()),
             }
-        }
-        let engine = self.engines.get_mut(&job.engine).expect("just ensured");
+        };
         let name = engine.name();
         let m = job.req.m;
         // Disjoint-field reborrow so the closure can use the workspace
@@ -667,5 +843,152 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-text panic payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rmts_core::MaxSplitStrategy;
+
+    /// The fingerprint text memo snapshots have always carried.
+    fn reference_text(req: &AnalyzeRequest, n: usize) -> String {
+        format!(
+            "{:?}|{:?}|{:?}|{}|{}",
+            req.algorithm, req.policy, req.budget, req.degrade, n
+        )
+    }
+
+    /// Different sets that collide on one slot (same routing hash, `m`
+    /// and engine) chain there, each keeping its own answer.
+    #[test]
+    fn colliding_sets_keep_their_own_answers() {
+        let slot = Slot {
+            hash: 7,
+            m: 2,
+            engine: 0,
+        };
+        let mut table = Table::default();
+        for (pairs, algorithm) in [([(1, 4)], "a"), ([(2, 4)], "b"), ([(1, 5)], "c")] {
+            let outcome = AnalysisOutcome {
+                algorithm: algorithm.into(),
+                m: 2,
+                verdict: Verdict::Invalid {
+                    reason: String::new(),
+                },
+            };
+            let packed = canonical::pack(pairs).into_boxed_slice();
+            table.insert(slot, packed, Arc::new(outcome));
+        }
+        let find = |pairs: [(u64, u64); 1]| {
+            let hit = table.find(&slot, &canonical::pack(pairs));
+            hit.map(|o| o.algorithm.clone())
+        };
+        assert_eq!(find([(1, 4)]).as_deref(), Some("a"));
+        assert_eq!(find([(2, 4)]).as_deref(), Some("b"));
+        assert_eq!(find([(1, 5)]).as_deref(), Some("c"));
+        assert_eq!(find([(3, 4)]), None);
+        assert_eq!(table.slots.len(), 1);
+        assert_eq!(table.slots[&slot].chain().count(), 3);
+    }
+
+    #[test]
+    fn fingerprint_text_is_pinned() {
+        let req = AnalyzeRequest::new(vec![], 2, AlgorithmSpec::RmTsLight);
+        assert_eq!(
+            EngineKey::of(&req, 3).to_string(),
+            "RmTsLight|None|BudgetSpec { deadline_ms: None, max_iterations: None, \
+             max_probes: None, horizon_cap: None }|false|3"
+        );
+    }
+
+    /// Over catalogue × policies × budgets × degrade × n, a key renders
+    /// the reference text, and two keys share an id exactly when their
+    /// texts are equal — whether the id came from a live key or from a
+    /// restored entry's text.
+    #[test]
+    fn engine_ids_are_equal_exactly_when_fingerprint_texts_are() {
+        let density = |theta| Some(AdmissionPolicy::DensityThreshold { theta });
+        let policies = [
+            None,
+            Some(AdmissionPolicy::exact()),
+            Some(AdmissionPolicy::exact().uncached()),
+            Some(AdmissionPolicy::ExactRta {
+                strategy: MaxSplitStrategy::BinarySearch,
+                cached: true,
+            }),
+            density(0.0),
+            density(-0.0),
+            density(0.1 + 0.2),
+            density(0.3),
+            density(f64::NAN),
+            density(-f64::NAN),
+            density(f64::INFINITY),
+        ];
+        let budgets = [
+            BudgetSpec::unlimited(),
+            BudgetSpec {
+                max_iterations: Some(0),
+                ..BudgetSpec::unlimited()
+            },
+            BudgetSpec {
+                max_probes: Some(0),
+                ..BudgetSpec::unlimited()
+            },
+            BudgetSpec {
+                deadline_ms: Some(5),
+                ..BudgetSpec::unlimited()
+            },
+        ];
+        let mut keys = Vec::new();
+        for algorithm in AlgorithmSpec::catalogue() {
+            for policy in policies {
+                for budget in budgets {
+                    for degrade in [false, true] {
+                        for n in [3, 64] {
+                            let mut req = AnalyzeRequest::new(vec![], 2, algorithm)
+                                .with_budget(budget)
+                                .with_degrade(degrade);
+                            req.policy = policy;
+                            keys.push((EngineKey::of(&req, n), reference_text(&req, n)));
+                        }
+                    }
+                }
+            }
+        }
+        // Live keys first, then (in a fresh interner) restored texts
+        // before the live keys that render to them.
+        let mut live = EngineIds::default();
+        let mut restored = EngineIds::default();
+        let mut text_of_id: HashMap<u32, &str> = HashMap::new();
+        let mut id_of_text: HashMap<&str, u32> = HashMap::new();
+        for (key, text) in &keys {
+            assert_eq!(key.to_string(), *text);
+            let id = live.of_key(key);
+            assert_eq!(
+                *text_of_id.entry(id).or_insert(text),
+                text,
+                "one id, two texts"
+            );
+            assert_eq!(
+                *id_of_text.entry(text).or_insert(id),
+                id,
+                "one text, two ids"
+            );
+            assert_eq!(restored.of_text(text), restored.of_key(key));
+        }
+        assert_eq!(live.texts.len(), id_of_text.len());
+        // The edge policies group as their texts do: ±0 and 0.1 + 0.2 vs
+        // 0.3 apart, the two NaNs together.
+        let distinct = |a: f64, b: f64| {
+            let key = |theta| {
+                let mut req = AnalyzeRequest::new(vec![], 2, AlgorithmSpec::RmTsLight);
+                req.policy = density(theta);
+                EngineKey::of(&req, 3)
+            };
+            key(a) != key(b)
+        };
+        assert!(distinct(0.0, -0.0) && distinct(0.1 + 0.2, 0.3));
+        assert!(!distinct(f64::NAN, -f64::NAN));
     }
 }

@@ -24,14 +24,17 @@
 //! outcome     outcome_len  AnalysisOutcome as JSON (utf-8)
 //! ```
 //!
-//! Every entry carries **both** fingerprints: the header's build
-//! fingerprint gates the whole file (a snapshot written by a differently
-//! versioned engine is *stale* and ignored wholesale), and the per-entry
-//! engine fingerprint is part of the memo key itself (so even within one
-//! build, an entry can only ever answer for the exact engine
-//! configuration that produced it). A payload that does not decode
-//! exactly — wrong lengths, non-utf-8 fingerprint, unparsable outcome,
-//! trailing bytes — stops the read like a failed checksum.
+//! Every entry carries **both** fingerprints: the header's answers
+//! fingerprint gates the whole file (a snapshot
+//! written by a build whose engines answer differently is *stale* and
+//! ignored wholesale), and the per-entry engine fingerprint is part of
+//! the memo key itself (so even within one build, an entry can only ever
+//! answer for the exact engine configuration that produced it). In
+//! memory the service keys entries by an interned engine id; it renders
+//! each id's text when it exports, and interns each restored entry's text
+//! as written. A payload that does not decode exactly — wrong lengths,
+//! non-utf-8 fingerprint, unparsable outcome, trailing bytes — stops the
+//! read like a failed checksum.
 //!
 //! A snapshot is an optimization, never an authority: the worst possible
 //! outcome of a damaged snapshot is a *cold* memo — never a wrong answer.
@@ -44,11 +47,24 @@ use std::path::Path;
 /// Leading magic of a memo snapshot file (the `1` is the format version).
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RMTSMEM1";
 
-/// The build fingerprint stamped into snapshot headers. Snapshots written
-/// by a different engine build are rejected as stale — analysis outcomes
-/// are only portable between identically versioned engines.
+/// The build fingerprint stamped into session journal headers. Journals
+/// hold requests, which recovery re-answers, so they need only the
+/// crate version.
 pub fn engine_fingerprint() -> String {
     format!("rmts-engine/{}/memo-fmt1", env!("CARGO_PKG_VERSION"))
+}
+
+/// FNV-1a over the serialized answers of every catalogue engine to a
+/// fixed probe corpus (pinned by `answers_digest_is_pinned` in this
+/// module's tests). An engine change that moves any answer fails that
+/// test until this constant moves, and with it [`memo_fingerprint`].
+const ANSWERS_DIGEST: u64 = 0xbc69_ee7b_4fa3_8442;
+
+/// The fingerprint stamped into memo snapshot headers. It names the
+/// engines' answers, not the crate version: a snapshot written by a build
+/// that answers differently is stale, and restores as a cold memo.
+fn memo_fingerprint() -> String {
+    format!("rmts-engine/answers-{ANSWERS_DIGEST:016x}/memo-fmt1")
 }
 
 /// One memoized analysis: the full memo key plus the stored outcome.
@@ -145,10 +161,10 @@ pub fn read_snapshot_bytes(data: &[u8], fingerprint: &str) -> (Vec<MemoEntry>, R
 /// any point leaves either the old snapshot or the new one, never a torn
 /// file at `path`.
 pub fn write_snapshot(path: &Path, entries: &[MemoEntry]) -> io::Result<SnapshotReport> {
-    write_snapshot_as(path, &engine_fingerprint(), entries)
+    write_snapshot_as(path, &memo_fingerprint(), entries)
 }
 
-/// [`write_snapshot`] with an explicit build fingerprint — the test seam
+/// [`write_snapshot`] with an explicit fingerprint — the test seam
 /// for proving stale-snapshot rejection.
 pub fn write_snapshot_as(
     path: &Path,
@@ -163,11 +179,11 @@ pub fn write_snapshot_as(
     })
 }
 
-/// Reads a snapshot back, verifying the build fingerprint and every
+/// Reads a snapshot back, verifying the answers fingerprint and every
 /// record checksum. The return is always usable — damage degrades to a
 /// (partially) cold memo.
 pub fn read_snapshot(path: &Path) -> (Vec<MemoEntry>, RecordReport) {
-    read_snapshot_as(path, &engine_fingerprint())
+    read_snapshot_as(path, &memo_fingerprint())
 }
 
 /// [`read_snapshot`] against an explicit expected fingerprint.
@@ -178,8 +194,10 @@ pub fn read_snapshot_as(path: &Path, fingerprint: &str) -> (Vec<MemoEntry>, Reco
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::Verdict;
-    use rmts_core::Exactness;
+    use crate::record::{fnv1a, FNV_OFFSET};
+    use crate::request::{AnalyzeRequest, Request, Verdict};
+    use crate::{Service, ServiceConfig};
+    use rmts_core::{AlgorithmSpec, Exactness};
 
     fn demo_entry(m: usize) -> MemoEntry {
         MemoEntry {
@@ -275,5 +293,53 @@ mod tests {
             .collect();
         assert_eq!(hex, PINNED_SNAPSHOT);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every catalogue engine's answers to a fixed corpus of small sets —
+    /// some accepted, some rejected — hash to [`ANSWERS_DIGEST`]. When an
+    /// engine change moves an answer, this fails: move the constant, which
+    /// makes earlier builds' memo snapshots stale instead of trusted.
+    #[test]
+    fn answers_digest_is_pinned() {
+        // splitmix64: a fixed corpus that no generator change can move.
+        let mut state = 0x5EED_u64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        let corpus: Vec<(Vec<(u64, u64)>, usize)> = (0..16)
+            .map(|k| {
+                let n = 3 + k % 6;
+                let set = (0..n)
+                    .map(|_| {
+                        let period = 5 + next(96);
+                        (1 + next(period * 3 / 4), period)
+                    })
+                    .collect();
+                (set, 2 + k % 2)
+            })
+            .collect();
+        let reqs = AlgorithmSpec::catalogue()
+            .into_iter()
+            .flat_map(|alg| {
+                corpus.iter().map(move |(set, m)| {
+                    Request::Analyze(AnalyzeRequest::new(set.clone(), *m, alg))
+                })
+            })
+            .collect();
+        let responses = Service::new(ServiceConfig::new().with_shards(1)).run_stream(reqs);
+        let digest = responses.iter().fold(FNV_OFFSET, |h, r| {
+            fnv1a(h, serde_json::to_string(&*r.outcome).unwrap().as_bytes())
+        });
+        let any = |f: fn(&Verdict) -> bool| responses.iter().any(|r| f(&r.outcome.verdict));
+        assert!(any(|v| matches!(v, Verdict::Accepted { .. })));
+        assert!(any(|v| matches!(v, Verdict::Rejected { .. })));
+        assert_eq!(
+            digest, ANSWERS_DIGEST,
+            "the engines' answers moved: set ANSWERS_DIGEST to {digest:#018x}"
+        );
     }
 }
